@@ -4,10 +4,9 @@
 // Section 1 projects the scaling curve from the calibrated CPU model
 // (PlatformA, 64 cores). Section 2 measures real strong scaling of this
 // repo's search engine on the host across its available cores. Section 3
-// (PR 4) measures the tile scheduler against static shell slices on skewed
-// workloads — a straggler worker and matches planted at different positions
-// in the straggler's static slice — plus the uniform-workload overhead of
-// tiling.
+// times the tile scheduler on skewed workloads — a straggler worker and
+// matches planted at different positions in shell 2 — and on a uniform d = 3
+// ball, as absolute host times.
 #include <chrono>
 #include <thread>
 
@@ -36,16 +35,16 @@ Seed256 shell2_mask_at_rank(u64 rank) {
 // ~4 us per hashed seed via the quantum hook — on a single-core host a
 // genuinely slow core cannot be provisioned, but a sleeping unit models one
 // faithfully: its quanta take longer while the OS runs the other workers.
-double run_once(const Seed256& base, const hash::Sha1BatchSeedHash::digest_type& target,
-                SearchSchedule schedule, bool early_exit, bool straggler,
-                int max_distance, par::WorkerGroup& pool, u64* seeds = nullptr) {
+double run_once(const Seed256& base,
+                const hash::Sha1BatchSeedHash::digest_type& target,
+                bool early_exit, bool straggler, int max_distance,
+                par::WorkerGroup& pool) {
   comb::ChaseFactory factory;  // fresh factory: plan construction is charged
   SearchOptions opts;
   opts.max_distance = max_distance;
   opts.num_threads = 4;
   opts.early_exit = early_exit;
   opts.timeout_s = 600.0;
-  opts.schedule = schedule;
   opts.tile_seeds = 1024;
   if (straggler) {
     opts.quantum_hook = [](int unit, u64 n) {
@@ -56,18 +55,17 @@ double run_once(const Seed256& base, const hash::Sha1BatchSeedHash::digest_type&
   const hash::Sha1BatchSeedHash hash;
   const auto r = rbc_search<hash::Sha1BatchSeedHash>(base, target, factory,
                                                      pool, opts, hash);
-  if (seeds) *seeds = r.seeds_hashed;
   return r.host_seconds;
 }
 
 double best_of(int reps, const Seed256& base,
                const hash::Sha1BatchSeedHash::digest_type& target,
-               SearchSchedule schedule, bool early_exit, bool straggler,
-               int max_distance, par::WorkerGroup& pool) {
+               bool early_exit, bool straggler, int max_distance,
+               par::WorkerGroup& pool) {
   double best = 1e30;
   for (int i = 0; i < reps; ++i) {
-    best = std::min(best, run_once(base, target, schedule, early_exit,
-                                   straggler, max_distance, pool));
+    best = std::min(best, run_once(base, target, early_exit, straggler,
+                                   max_distance, pool));
   }
   return best;
 }
@@ -125,93 +123,76 @@ int main() {
                 "in the model section)\n");
   }
 
-  // --- PR 4: tile scheduler vs static shell slices --------------------------
+  // --- Tile scheduler on skewed and uniform workloads ----------------------
   print_title(
-      "Skewed workload — straggler worker, tiled vs static (d = 2, SHA-1, "
-      "4 workers, 1024-seed tiles, best of 3)");
+      "Skewed workload — straggler worker, tiled (d = 2, SHA-1, 4 workers, "
+      "1024-seed tiles, best of 3)");
   std::printf(
-      "Worker 0 sleeps ~4 us per hashed seed (a modeled slow core). Under\n"
-      "static slices its 1/4 of every shell gates the wall clock; under the\n"
-      "tile scheduler the other workers steal its share.\n\n");
+      "Worker 0 sleeps ~4 us per hashed seed (a modeled slow core); the\n"
+      "other workers steal its share of every shell. Compare each row with\n"
+      "the no-straggler row: the gap is what the slow core still costs.\n\n");
 
   const hash::Sha1BatchSeedHash sha1;
   par::WorkerGroup skew_pool(5);  // 4 workers + tiled pipeline unit
 
-  Table skew({"scenario", "static (s)", "tiled (s)", "stealing speedup"});
-  double headline_static = 0.0, headline_tiled = 0.0;
-
-  {  // exhaustive: the straggler's whole slice matters
+  Table skew({"scenario", "no straggler (s)", "straggler (s)"});
+  {
     const auto absent = sha1(unrelated);
-    headline_static =
-        best_of(3, base, absent, SearchSchedule::kStatic,
-                /*early_exit=*/false, /*straggler=*/true, 2, skew_pool);
-    headline_tiled =
-        best_of(3, base, absent, SearchSchedule::kTiled,
-                /*early_exit=*/false, /*straggler=*/true, 2, skew_pool);
-    skew.add_row({"exhaustive ball", fmt(headline_static, 4),
-                  fmt(headline_tiled, 4),
-                  fmt(headline_static / headline_tiled, 2) + "x"});
+    skew.add_row(
+        {"exhaustive ball",
+         fmt(best_of(3, base, absent, /*early_exit=*/false,
+                     /*straggler=*/false, 2, skew_pool),
+             4),
+         fmt(best_of(3, base, absent, /*early_exit=*/false,
+                     /*straggler=*/true, 2, skew_pool),
+             4)});
   }
 
-  // Early exit with the match planted at the start / middle / end of the
-  // straggler's *static* slice of shell 2 (ranks [0, 8160) of 32640): the
-  // later the match sits in the slice, the longer static waits on the slow
-  // worker, while stealing lets a fast worker reach the tile early.
+  // Early exit with the match planted early / mid / late in the first
+  // quarter of shell 2's visit order (ranks [0, 8160) of 32640).
   const struct {
     const char* label;
     u64 rank;
-  } positions[] = {{"match at slice start", 64},
-                   {"match at slice middle", 4096},
-                   {"match at slice end", 8064}};
+  } positions[] = {{"match at rank 64", 64},
+                   {"match at rank 4096", 4096},
+                   {"match at rank 8064", 8064}};
   for (const auto& pos : positions) {
     const Seed256 truth = base ^ shell2_mask_at_rank(pos.rank);
     const auto target2 = sha1(truth);
-    const double ts = best_of(3, base, target2, SearchSchedule::kStatic,
-                              /*early_exit=*/true, /*straggler=*/true, 2,
-                              skew_pool);
-    const double tt = best_of(3, base, target2, SearchSchedule::kTiled,
-                              /*early_exit=*/true, /*straggler=*/true, 2,
-                              skew_pool);
     skew.add_row(
-        {pos.label, fmt(ts, 4), fmt(tt, 4), fmt(ts / tt, 2) + "x"});
+        {pos.label,
+         fmt(best_of(3, base, target2, /*early_exit=*/true,
+                     /*straggler=*/false, 2, skew_pool),
+             4),
+         fmt(best_of(3, base, target2, /*early_exit=*/true,
+                     /*straggler=*/true, 2, skew_pool),
+             4)});
   }
   skew.print();
-  std::printf("Acceptance (>= 1.3x on the skewed exhaustive ball): %.2fx %s\n",
-              headline_static / headline_tiled,
-              headline_static / headline_tiled >= 1.3 ? "PASS" : "FAIL");
 
   print_title(
-      "Uniform workload — tiling overhead (d = 3 exhaustive, SHA-1, "
-      "4 workers, default tiles, best of 3)");
+      "Uniform workload — tiled d = 3 exhaustive (SHA-1, 4 workers, default "
+      "tiles, best of 3)");
   {
     const auto absent = sha1(unrelated);
-    auto timed = [&](SearchSchedule sched) {
-      double best = 1e30;
-      for (int rep = 0; rep < 3; ++rep) {
-        comb::ChaseFactory factory;  // fresh: plan construction is charged
-        SearchOptions opts;
-        opts.max_distance = 3;
-        opts.num_threads = 4;
-        opts.early_exit = false;
-        opts.timeout_s = 600.0;
-        opts.schedule = sched;
-        const auto r = rbc_search<hash::Sha1BatchSeedHash>(
-            base, absent, factory, skew_pool, opts, sha1);
-        best = std::min(best, r.host_seconds);
-      }
-      return best;
-    };
-    const double t_static = timed(SearchSchedule::kStatic);
-    const double t_tiled = timed(SearchSchedule::kTiled);
-    const double overhead = (t_tiled / t_static - 1.0) * 100.0;
-    Table uni({"schedule", "time (s)", "overhead"});
-    uni.add_row({"static slices", fmt(t_static, 4), "-"});
-    uni.add_row({"tile scheduler", fmt(t_tiled, 4),
-                 fmt(overhead, 2) + "%"});
+    double best = 1e30;
+    u64 seeds = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      comb::ChaseFactory factory;  // fresh: plan construction is charged
+      SearchOptions opts;
+      opts.max_distance = 3;
+      opts.num_threads = 4;
+      opts.early_exit = false;
+      opts.timeout_s = 600.0;
+      const auto r = rbc_search<hash::Sha1BatchSeedHash>(
+          base, absent, factory, skew_pool, opts, sha1);
+      best = std::min(best, r.host_seconds);
+      seeds = r.seeds_hashed;
+    }
+    Table uni({"seeds hashed", "time (s)", "M seeds/s"});
+    uni.add_row({std::to_string(seeds), fmt(best, 4),
+                 fmt(static_cast<double>(seeds) / best / 1e6, 2)});
     uni.print();
-    std::printf("Acceptance (<= 2%% tiling overhead, no straggler): %+.2f%% "
-                "%s\n",
-                overhead, overhead <= 2.0 ? "PASS" : "FAIL");
   }
   return 0;
 }

@@ -34,14 +34,7 @@
 // link gets lossier. `--chaos-only` runs just this phase (the CI chaos
 // smoke); every run uses fixed seeds, so the numbers replay exactly.
 //
-// Phase 5 is the LANE FUSION phase (PR 8): a many-small-sessions burst
-// (4096 sessions, SHA-3, d = 2) run solo and then with the per-shard
-// FusionEngine multiplexing every in-flight session's candidate stream into
-// shared 64-lane tagged hash batches. Gates: fused >= 1.3x solo sessions/s
-// and lane occupancy >= 0.9. `--fusion-only` runs just this phase (the CI
-// fusion smoke) and `--json` records it as BENCH_PR8.json.
-//
-// Phase 6 is the SEARCH ORDERING phase (PR 9): a d = 3 burst with TAPKI off
+// Phase 5 is the SEARCH ORDERING phase: a d = 3 burst with TAPKI off
 // and model-default erratic-cell noise, run under canonical enumeration and
 // again under maximum-likelihood-first enumeration (the enrollment-time
 // reliability profile). Both runs replay byte-identical sessions. Gates:
@@ -49,7 +42,7 @@
 // authenticated session and >= 1.5x sessions/s. `--ordering-only` runs just
 // this phase and `--json` records it as BENCH_PR9.json.
 //
-// Phase 7 is the OBSERVABILITY phase (PR 10): the dispatch-overhead burst
+// Phase 6 is the OBSERVABILITY phase: the dispatch-overhead burst
 // (8 shards, non-realtime — the shape where per-session serving cost is the
 // whole workload) run untraced and then with session tracing + the flight
 // recorder armed. Gates: traced p95 within 5% of untraced (or inside an
@@ -200,7 +193,7 @@ struct SweepConfig {
   bool realtime = false;
   double latency_s = 0.0;
   double puf_read_s = 0.0;
-  /// Observability knobs (phase 7): arm the span tracer / flight recorder
+  /// Observability knobs (phase 6): arm the span tracer / flight recorder
   /// and export the server's metrics snapshot into the RunResult.
   bool trace = false;
   bool flight_recorder = false;
@@ -290,185 +283,7 @@ struct SweepRow {
 };
 
 // ---------------------------------------------------------------------------
-// Phase 5 (PR 8): cross-session lane fusion.
-// ---------------------------------------------------------------------------
-
-/// Phase-5 client: d = 2 sessions (where the search — and therefore the
-/// fusion win — lives) with cheap key derivation, so the session cost is
-/// the serving + search seam rather than client-side crypto.
-std::unique_ptr<Client> make_fusion_client(const Workload& w,
-                                           int session_index, u64 salt) {
-  const std::size_t device =
-      static_cast<std::size_t>(session_index) % w.device_ids.size();
-  ClientConfig ccfg;
-  ccfg.device_id = w.device_ids[device];
-  ccfg.injected_distance = 2;
-  ccfg.keygen_algo = crypto::KeygenAlgo::kAes128;
-  ccfg.puf_read_time_s = 0.0;
-  return std::make_unique<Client>(ccfg, w.devices[device].get(),
-                                  ccfg.device_id ^ salt);
-}
-
-/// One fusion point: `sessions` non-realtime burst sessions on one shard
-/// with `drivers` drivers, fusion on or off. Deep driver overlap is what
-/// feeds the fused batches; the unfused run gets the identical shape.
-RunResult run_fusion_point(Workload& w, int sessions, int submitters,
-                           int drivers, bool fused, u64 salt) {
-  server::ServerConfig cfg;
-  cfg.num_shards = 1;
-  cfg.max_queue_depth = 2 * sessions;
-  cfg.max_in_flight = drivers;
-  cfg.session_budget_s = 600.0;
-  cfg.per_message_latency_s = 0.0;
-  cfg.realtime_comm = false;
-  cfg.fusion_enabled = fused;
-  cfg.fusion_lanes = 64;  // full tagged-kernel width amortizes batch setup
-  server::AuthServer server(cfg, w.ca.get(), &w.ra);
-
-  std::vector<std::unique_ptr<Client>> clients;
-  clients.reserve(static_cast<std::size_t>(sessions));
-  for (int i = 0; i < sessions; ++i)
-    clients.push_back(make_fusion_client(w, i, salt));
-
-  std::vector<std::future<server::SessionOutcome>> futures(
-      static_cast<std::size_t>(sessions));
-  WallTimer timer;
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(submitters));
-    for (int c = 0; c < submitters; ++c) {
-      threads.emplace_back([&, c] {
-        for (int i = c; i < sessions; i += submitters) {
-          futures[static_cast<unsigned>(i)] =
-              server.submit(clients[static_cast<unsigned>(i)].get());
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (auto& f : futures) f.wait();  // drain the open-loop burst
-  }
-
-  RunResult r;
-  r.wall_s = timer.elapsed_s();
-  r.sessions_per_s = sessions / r.wall_s;
-  for (int i = 0; i < sessions; ++i) {
-    const auto outcome = futures[static_cast<unsigned>(i)].get();
-    const bool ok = outcome.accepted && outcome.authenticated &&
-                    outcome.report.registered_public_key ==
-                        clients[static_cast<unsigned>(i)]->derive_public_key(
-                            w.ca->config().salt);
-    if (!ok) ++r.key_mismatches;
-  }
-  r.stats = server.stats();
-  return r;
-}
-
-struct FusionPhaseResult {
-  RunResult unfused;
-  RunResult fused;
-  double speedup = 0.0;
-  double occupancy = 0.0;
-  bool pass = false;
-};
-
-/// Phase 5: fused vs unfused sessions/s on the d<=2 SHA-3 burst.
-FusionPhaseResult run_fusion_phase(Workload& w, int sessions) {
-  constexpr int kSubmitters = 4;
-  constexpr int kDrivers = 16;
-  rbc::bench::print_title(
-      "Lane fusion — continuous batching of hash work across sessions");
-  std::printf(
-      "%d-session open-loop burst (SHA-3, d=2), %d drivers, 1 shard;\n"
-      "fused runs multiplex every in-flight session's candidate stream into "
-      "shared\n64-lane hash batches (cached shell tables replace per-session "
-      "prepare walks).\n",
-      sessions, kDrivers);
-
-  FusionPhaseResult p;
-  p.unfused = run_fusion_point(w, sessions, kSubmitters, kDrivers,
-                               /*fused=*/false, 0xF0);
-  p.fused = run_fusion_point(w, sessions, kSubmitters, kDrivers,
-                             /*fused=*/true, 0xF0);
-  p.speedup = p.fused.sessions_per_s / p.unfused.sessions_per_s;
-  p.occupancy = p.fused.stats.lane_occupancy;
-
-  rbc::bench::Table table({"mode", "wall (s)", "sessions/s", "speedup",
-                           "occupancy", "batches", "fused", "auth",
-                           "corrupt"});
-  table.add_row({"solo", rbc::bench::fmt(p.unfused.wall_s, 3),
-                 rbc::bench::fmt(p.unfused.sessions_per_s, 1), "1.00", "-",
-                 "-", "0", std::to_string(p.unfused.stats.authenticated),
-                 std::to_string(p.unfused.key_mismatches)});
-  table.add_row({"fused", rbc::bench::fmt(p.fused.wall_s, 3),
-                 rbc::bench::fmt(p.fused.sessions_per_s, 1),
-                 rbc::bench::fmt(p.speedup),
-                 rbc::bench::fmt(p.occupancy, 3),
-                 std::to_string(p.fused.stats.fusion_batches),
-                 std::to_string(p.fused.stats.fused_sessions),
-                 std::to_string(p.fused.stats.authenticated),
-                 std::to_string(p.fused.key_mismatches)});
-  table.print();
-
-  const int corrupt = p.unfused.key_mismatches + p.fused.key_mismatches;
-  p.pass = p.speedup >= 1.3 && p.occupancy >= 0.9 && corrupt == 0;
-  std::printf("\nFused vs solo: %.2fx sessions/s (target >= 1.30x); lane "
-              "occupancy %.3f (target >= 0.900); corruptions: %d (target 0)\n",
-              p.speedup, p.occupancy, corrupt);
-  return p;
-}
-
-void write_fusion_json(const std::string& path, int sessions,
-                       const FusionPhaseResult& p) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  auto emit_run = [out](const char* name, const RunResult& r, bool last) {
-    std::fprintf(
-        out,
-        "    \"%s\": { \"wall_s\": %.4f, \"sessions_per_s\": %.1f, "
-        "\"authenticated\": %llu, \"corrupt\": %d, \"fused_sessions\": %llu, "
-        "\"fusion_batches\": %llu, \"lanes_filled\": %llu, "
-        "\"lanes_issued\": %llu, \"lane_occupancy\": %.4f }%s\n",
-        name, r.wall_s, r.sessions_per_s,
-        static_cast<unsigned long long>(r.stats.authenticated),
-        r.key_mismatches,
-        static_cast<unsigned long long>(r.stats.fused_sessions),
-        static_cast<unsigned long long>(r.stats.fusion_batches),
-        static_cast<unsigned long long>(r.stats.fusion_lanes_filled),
-        static_cast<unsigned long long>(r.stats.fusion_lanes_issued),
-        r.stats.lane_occupancy, last ? "" : ",");
-  };
-  std::fprintf(out, "{\n  \"pr\": 8,\n");
-  std::fprintf(out,
-               "  \"title\": \"Cross-session lane fusion: continuous "
-               "batching of hash work across concurrent sessions\",\n");
-  std::fprintf(out,
-               "  \"host\": { \"cpu\": \"x86_64, %u hardware thread(s)\" },\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out,
-               "  \"fusion_burst\": {\n"
-               "    \"note\": \"%d-session open-loop burst, SHA-3 d=2, 16 "
-               "drivers, 1 shard, non-realtime channel; fused = per-shard "
-               "FusionEngine multiplexing all in-flight candidate streams "
-               "into shared 64-lane tagged batches\",\n",
-               sessions);
-  emit_run("solo", p.unfused, false);
-  emit_run("fused", p.fused, false);
-  std::fprintf(out,
-               "    \"speedup_fused_vs_solo\": %.3f,\n"
-               "    \"lane_occupancy\": %.4f,\n"
-               "    \"acceptance_speedup_1_3x_met\": %s,\n"
-               "    \"acceptance_occupancy_0_9_met\": %s\n  }\n}\n",
-               p.speedup, p.occupancy, p.speedup >= 1.3 ? "true" : "false",
-               p.occupancy >= 0.9 ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Phase 6 (PR 9): reliability-guided search ordering
+// Phase 5: reliability-guided search ordering
 // ---------------------------------------------------------------------------
 
 /// Devices for the ordering phase. One address per device makes the CA's
@@ -642,7 +457,7 @@ struct OrderingPhaseResult {
   bool pass = false;
 };
 
-/// Phase 6: canonical vs maximum-likelihood-first enumeration on a d=3
+/// Phase 5: canonical vs maximum-likelihood-first enumeration on a d=3
 /// burst with model-default erratic-cell noise.
 OrderingPhaseResult run_ordering_phase(int sessions) {
   constexpr int kSubmitters = 4;
@@ -765,7 +580,7 @@ void write_ordering_json(const std::string& path, int sessions,
 }
 
 // ---------------------------------------------------------------------------
-// Phase 7 (PR 10): observability overhead + metrics export
+// Phase 6: observability overhead + metrics export
 // ---------------------------------------------------------------------------
 
 struct ObsPhaseResult {
@@ -776,7 +591,7 @@ struct ObsPhaseResult {
   bool pass = false;
 };
 
-/// Phase 7: the dispatch-overhead burst shape (8 shards, logical-clock
+/// Phase 6: the dispatch-overhead burst shape (8 shards, logical-clock
 /// comm — per-session serving cost IS the workload) untraced vs traced.
 /// The traced run also arms the flight recorder and exports its metrics
 /// snapshot; `metrics_out`, when set, lands that snapshot on disk.
@@ -1119,10 +934,8 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   bool sweep_only = false;
   bool chaos_only = false;
-  bool fusion_only = false;
   bool ordering_only = false;
   bool obs_only = false;
-  int fusion_sessions = 4096;
   int ordering_sessions = 192;
   int obs_sessions = 2048;
   for (int i = 1; i < argc; ++i) {
@@ -1132,10 +945,6 @@ int main(int argc, char** argv) {
       sweep_only = true;
     } else if (std::strcmp(argv[i], "--chaos-only") == 0) {
       chaos_only = true;
-    } else if (std::strcmp(argv[i], "--fusion-only") == 0) {
-      fusion_only = true;
-    } else if (std::strcmp(argv[i], "--fusion-sessions") == 0 && i + 1 < argc) {
-      fusion_sessions = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--ordering-only") == 0) {
       ordering_only = true;
     } else if (std::strcmp(argv[i], "--ordering-sessions") == 0 &&
@@ -1149,8 +958,7 @@ int main(int argc, char** argv) {
       metrics_out = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--sweep-only] [--chaos-only] [--fusion-only] "
-                   "[--fusion-sessions <n>] [--ordering-only] "
+                   "usage: %s [--sweep-only] [--chaos-only] [--ordering-only] "
                    "[--ordering-sessions <n>] [--obs-only] "
                    "[--obs-sessions <n>] [--metrics-out <path>] "
                    "[--json <path>]\n",
@@ -1164,16 +972,6 @@ int main(int argc, char** argv) {
     const bool chaos_pass = run_chaos_sweep(chaos_workload);
     std::printf("RESULT: %s\n", chaos_pass ? "PASS" : "FAIL");
     return chaos_pass ? 0 : 1;
-  }
-
-  if (fusion_only) {
-    Workload fusion_workload(64);
-    const FusionPhaseResult fusion =
-        run_fusion_phase(fusion_workload, fusion_sessions);
-    if (!json_path.empty())
-      write_fusion_json(json_path, fusion_sessions, fusion);
-    std::printf("RESULT: %s\n", fusion.pass ? "PASS" : "FAIL");
-    return fusion.pass ? 0 : 1;
   }
 
   if (ordering_only) {
@@ -1298,22 +1096,14 @@ int main(int argc, char** argv) {
     chaos_pass = run_chaos_sweep(chaos_workload);
   }
 
-  // Phase 5: lane fusion (skipped under --sweep-only; run alone — and with
-  // --json for BENCH_PR8.json — via --fusion-only).
-  bool fusion_pass = true;
-  if (!sweep_only) {
-    Workload fusion_workload(64);
-    fusion_pass = run_fusion_phase(fusion_workload, fusion_sessions).pass;
-  }
-
-  // Phase 6: search ordering (skipped under --sweep-only; run alone — and
+  // Phase 5: search ordering (skipped under --sweep-only; run alone — and
   // with --json for BENCH_PR9.json — via --ordering-only).
   bool ordering_pass = true;
   if (!sweep_only) {
     ordering_pass = run_ordering_phase(ordering_sessions).pass;
   }
 
-  // Phase 7: observability overhead (skipped under --sweep-only; run alone
+  // Phase 6: observability overhead (skipped under --sweep-only; run alone
   // — and with --json for BENCH_PR10.json / --metrics-out for the metrics
   // document — via --obs-only).
   bool obs_pass = true;
@@ -1323,7 +1113,7 @@ int main(int argc, char** argv) {
   }
 
   const bool pass = phases_pass && p95_ok && sweep_corrupt == 0 &&
-                    chaos_pass && fusion_pass && ordering_pass && obs_pass;
+                    chaos_pass && ordering_pass && obs_pass;
   std::printf("RESULT: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

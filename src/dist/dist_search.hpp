@@ -11,21 +11,25 @@
 // per-shell barriers: as soon as a shell's chunks are all granted, rank 0
 // moves its grant pointer to the next shell while stragglers finish their
 // last chunks in the background; a rank that outruns the coordinator has
-// its request deferred until the grant pointer catches up.
+// its request deferred until the grant pointer catches up. Each rank walks
+// its chunks in candidate blocks through the search core's probe
+// (rbc/search.hpp), so batched hash policies hash many lanes per call here
+// exactly as they do in the shared-memory engines.
 //
 // The early-exit protocol is explicit message traffic, as it must be
 // without shared memory:
 //   * a rank that finds the seed sends FOUND to rank 0 (chunks may be in
 //     flight for two adjacent shells, so rank 0 keeps the minimal shell);
-//   * rank 0 broadcasts STOP; ranks poll their mailbox between seed batches
-//     at the same SearchOptions::check_interval cadence the shared-memory
-//     engines use (§4.4);
+//   * rank 0 broadcasts STOP; ranks poll their mailbox between candidate
+//     blocks at the same SearchOptions::check_interval cadence the
+//     shared-memory engines use (§4.4);
 //   * every WANT is answered — with a chunk or an empty grant — so no rank
 //     ever blocks on a silent coordinator, and the search ends with a
 //     count-aggregation sweep instead of a barrier chain.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <thread>
@@ -101,6 +105,7 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
   RBC_CHECK(opts.max_distance >= 0 && opts.max_distance <= comb::kMaxK);
   const int max_distance = opts.max_distance;
   const u64 min_chunk = std::max<u64>(opts.check_interval, 64);
+  const u32 check_blocks = rbc::detail::blocks_per_check<Hash>(opts);
 
   DistSearchResult result;
   std::mutex result_mutex;
@@ -130,25 +135,35 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
       }
     };
 
-    // Walks `[lo, lo + n)` of `shell`'s lexicographic sequence; polls the
-    // mailbox/deadline every check_interval seeds — the same stop cadence
-    // the shared-memory engines use (§4.4). Reports a match to rank 0 and,
-    // under early exit, abandons the rest of the chunk (the lanes after a
-    // match are speculative); exhaustive mode finishes the chunk so the
-    // aggregated count is the exact ball size.
+    // Walks `[lo, lo + n)` of `shell`'s lexicographic sequence in candidate
+    // blocks through the search core's probe; polls the mailbox/deadline at
+    // the check_interval cadence the shared-memory engines use (§4.4).
+    // Reports a match to rank 0 and, under early exit, abandons the rest of
+    // the chunk (the lanes after a match are speculative); exhaustive mode
+    // finishes the chunk so the aggregated count is the exact ball size.
+    constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
+    std::array<Seed256, kBlock> candidates;
+    rbc::detail::Probe probe(hash, target);
     auto search_chunk = [&](int shell, u128 lo, u64 n) {
       comb::Algorithm515Iterator it(shell, lo, n, comb::Alg515Mode::kSuccessor);
-      Seed256 mask;
-      u32 since_poll = 0;
-      while (it.next(mask)) {
-        const Seed256 candidate = s_init ^ mask;
-        ++local_hashed;
-        if (hash(candidate) == target) {
-          ctx.send(0, detail::kTagWork, detail::encode_found(candidate, shell));
-          if (opts.early_exit) return;
+      par::CheckThrottle throttle(check_blocks);
+      while (true) {
+        std::size_t filled = 0;
+        Seed256 mask;
+        while (filled < kBlock && it.next(mask))
+          candidates[filled++] = s_init ^ mask;
+        if (filled == 0) return;
+        const std::size_t hit = probe(candidates.data(), filled);
+        if (hit != filled) {
+          ctx.send(0, detail::kTagWork,
+                   detail::encode_found(candidates[hit], shell));
+          if (opts.early_exit) {
+            local_hashed += hit + 1;
+            return;
+          }
         }
-        if (++since_poll >= opts.check_interval) {
-          since_poll = 0;
+        local_hashed += filled;
+        if (throttle.due()) {
           sctx.check_deadline();
           if (poll_stop()) return;
         }

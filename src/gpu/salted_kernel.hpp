@@ -11,9 +11,11 @@
 //      the launch),
 //   3. stages each tile's Chase Algorithm-382 snapshot into the block's
 //      SHARED MEMORY arena (§3.2.3 optimization) before iterating,
-//   4. hashes candidate blocks with the fixed-padding multi-lane SHA kernels
-//      and polls the unified flag between blocks,
-//   5. on a match, atomically publishes the result and raises the flag.
+//   4. hashes candidate blocks through the search core's probe (fixed-padding
+//      multi-lane SHA kernels + head prefilter) and polls the session at the
+//      shared check cadence,
+//   5. on a match, atomically publishes the result; the launch raises the
+//      unified flag the host checks between launches.
 //
 // hetero_cosearch() goes one step further: host worker units and one
 // emulated device consume tiles of the SAME ball from one shared scheduler,
@@ -21,30 +23,24 @@
 // disjoint phases.
 #pragma once
 
-#include <array>
-#include <cstring>
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 
 #include "combinatorics/chase382.hpp"
 #include "combinatorics/tiler.hpp"
 #include "common/timer.hpp"
 #include "gpu/launch.hpp"
-#include "hash/batch.hpp"
 #include "hash/traits.hpp"
 #include "parallel/tile_scheduler.hpp"
 #include "rbc/search.hpp"
 
 namespace rbc::gpu {
 
-/// Result slot in "unified memory", shared by all blocks and the host.
-struct FoundSlot {
-  std::mutex mutex;
-  bool found = false;
-  Seed256 seed;
-  int distance = -1;
-};
+/// Result slot in "unified memory", shared by all blocks and the host: the
+/// search core's match slot (minimal shell wins).
+using FoundSlot = rbc::detail::MatchSlot;
 
 struct ShellLaunchStats {
   u64 threads = 0;
@@ -60,27 +56,33 @@ struct ShellLaunchStats {
 /// than bound one-to-one to threads, so an uneven schedule (or an early
 /// straggler block) cannot leave the tail of the shell on one thread.
 ///
-/// `ctx`, when non-null, is the session's cancellation context: device
-/// threads poll it alongside the unified flag (the CUDA analogue is the
-/// host raising the flag from another stream) and latch its deadline at a
-/// coarse cadence, so a session budget can stop a kernel mid-shell instead
-/// of only between launches.
+/// `ctx` is the session's context: device threads poll its deadline,
+/// cancellation and match flag at the search core's check cadence (the CUDA
+/// analogue is the host raising the flag from another stream), so a session
+/// budget can stop a kernel mid-shell instead of only between launches. A
+/// match raises `flag` for the host's between-launch check; a launch that
+/// starts with the flag raised does nothing.
 template <hash::SeedHash Hash>
 ShellLaunchStats launch_salted_shell(
     par::WorkerGroup& workers, const Seed256& s_init,
     const typename Hash::digest_type& target, int shell,
     const std::vector<comb::ChaseState>& snapshots, u64 shell_total,
     u32 threads_per_block, UnifiedFlag& flag, FoundSlot& slot,
-    const Hash& hash = {}, par::SearchContext* ctx = nullptr) {
+    par::SearchContext& ctx, const Hash& hash = {}) {
   const u64 p = snapshots.size();
   RBC_CHECK(p >= 1);
   const Dim3 grid = grid_for(p, threads_per_block);
   const Dim3 block{threads_per_block, 1, 1};
+  ShellLaunchStats stats;
+  stats.threads = p;
+  stats.blocks = grid.x;
+  if (flag.get()) return stats;
 
+  const rbc::SearchOptions opts;  // early exit at the default cadence
   std::atomic<u64> seeds_hashed{0};
   // One shell of p snapshot tiles; every logical thread owns one scheduler
   // slot and starts at its own tile id, so an undisturbed launch visits the
-  // same slices as the old static assignment.
+  // same slices as a static thread->slice assignment.
   par::TileScheduler sched(std::vector<u64>{p}, shell, static_cast<int>(p));
   // Shared memory: one ChaseState slot per thread in the block (§3.2.3).
   const std::size_t shared_bytes = sizeof(comb::ChaseState) * threads_per_block;
@@ -92,76 +94,23 @@ ShellLaunchStats launch_salted_shell(
     auto* shared_states =
         reinterpret_cast<comb::ChaseState*>(kctx.shared.data());
     comb::ChaseState& state = shared_states[kctx.threadIdx.x];
-
-    constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-    std::array<Seed256, kBlock> candidates;
-    std::array<typename Hash::digest_type, kBlock> digests;
-    u32 target_head;
-    std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-
-    u64 local = 0;
-    bool running = true;
-    par::TileScheduler::Tile tile;
-    while (running && sched.acquire(static_cast<int>(r), tile)) {
-      // Copy this tile's iterator state into the block's shared arena.
-      const u64 t = tile.index;
-      state = snapshots[static_cast<std::size_t>(t)];
-
-      // The tile's slice: [its snapshot's step, the next snapshot's step).
-      u64 i = state.step_index;
-      const u64 end = (t + 1 < p)
-                          ? snapshots[static_cast<std::size_t>(t + 1)].step_index
-                          : shell_total;
-
-      // Same batched shape as the host search: refill a candidate block from
-      // the Chase walk, hash all lanes per multi-buffer call, reject on the
-      // digest head before the full compare. The unified flag is polled once
-      // per block — the device-side analogue of the §4.4 check interval.
-      comb::ChaseSequence seq(state);
-      while (running && i < end) {
-        // Unified-memory early exit (§3.2), plus session cancellation.
-        if (flag.get() || (ctx != nullptr && ctx->cancel_requested())) {
-          running = false;
-          break;
-        }
-        std::size_t n = 0;
-        while (n < kBlock && i + n < end) {
-          candidates[n] = s_init ^ seq.mask();
-          if (i + n + 1 < end) seq.advance();
-          ++n;
-        }
-        hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-        std::size_t counted = n;
-        for (std::size_t lane = 0; lane < n; ++lane) {
-          u32 head;
-          std::memcpy(&head, digests[lane].bytes.data(), sizeof(head));
-          if (head != target_head || digests[lane] != target) continue;
-          {
-            std::lock_guard lock(slot.mutex);
-            if (!slot.found) {
-              slot.found = true;
-              slot.seed = candidates[lane];
-              slot.distance = shell;
-            }
-          }
-          flag.set();
-          counted = lane + 1;  // lanes past the match were speculative
-          running = false;
-          break;
-        }
-        local += counted;
-        i += n;
-        // Coarse deadline cadence: a clock read roughly every 64 Ki seeds.
-        if (ctx != nullptr && (local & 0xffff) < n) ctx->check_deadline();
-      }
-    }
-    seeds_hashed.fetch_add(local, std::memory_order_relaxed);
-    if (ctx != nullptr) ctx->add_progress(local);
+    const u64 h = rbc::detail::drain_tiles(
+        sched, static_cast<int>(r),
+        [&](const par::TileScheduler::Tile& tile) {
+          // Stage this tile's iterator state into the block's shared arena,
+          // then walk [its snapshot's step, the next snapshot's step).
+          const auto t = static_cast<std::size_t>(tile.index);
+          state = snapshots[t];
+          const u64 end =
+              t + 1 < p ? snapshots[t + 1].step_index : shell_total;
+          return std::optional(
+              comb::ChaseIterator(state, end - state.step_index));
+        },
+        s_init, target, hash, opts, ctx, slot);
+    seeds_hashed.fetch_add(h, std::memory_order_relaxed);
   });
 
-  ShellLaunchStats stats;
-  stats.threads = p;
-  stats.blocks = grid.x;
+  if (slot.found) flag.set();  // unified-memory early exit (§3.2)
   stats.seeds_hashed = seeds_hashed.load();
   return stats;
 }
@@ -205,7 +154,7 @@ rbc::SearchResult gpu_emulated_search(
         static_cast<u64>(comb::binomial128(comb::kSeedBits, k));
     const auto stats = launch_salted_shell<Hash>(
         workers, s_init, target, k, snapshots, shell_total, threads_per_block,
-        flag, slot, hash, &ctx);
+        flag, slot, ctx, hash);
     result.seeds_hashed += stats.seeds_hashed;
   }
 
@@ -232,7 +181,9 @@ rbc::SearchResult gpu_emulated_search(
 ///
 /// Device threads stage each claimed tile's snapshot into their block's
 /// shared-memory arena (§3.2.3) before iterating, exactly like the per-shell
-/// kernel above; host units construct tile iterators directly.
+/// kernel above; host units construct tile iterators directly. Both run
+/// rbc::detail::drain_tiles, so a match on either side stops the other
+/// through the session context.
 ///
 /// `device_seeds_out`, when non-null, receives the device's share of the
 /// hashed seeds (for load-split reporting in benches).
@@ -251,7 +202,6 @@ rbc::SearchResult hetero_cosearch(
   WallTimer timer;
   par::SearchContext local = par::SearchContext::with_budget(opts.timeout_s);
   par::SearchContext& ctx = session != nullptr ? *session : local;
-  UnifiedFlag flag;
   FoundSlot slot;
   if (device_seeds_out != nullptr) *device_seeds_out = 0;
 
@@ -301,83 +251,20 @@ rbc::SearchResult hetero_cosearch(
                                host_units + device_threads);
       std::atomic<u64> hashed{0};
       std::atomic<u64> device_hashed{0};
-      const u32 blocks_per_check = static_cast<u32>(
-          (std::max<u64>(opts.check_interval, 1) +
-           hash::seed_hash_batch<Hash>() - 1) /
-          hash::seed_hash_batch<Hash>());
 
-      // Tile-drain loop shared by host units and device threads; they differ
-      // only in how a claimed tile becomes an iterator (`make_iter`).
-      const auto drain = [&](int slot_id, auto&& make_iter) -> u64 {
-        constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-        std::array<Seed256, kBlock> candidates;
-        std::array<typename Hash::digest_type, kBlock> digests;
-        u32 target_head;
-        std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-
-        u64 unit_hashed = 0;
-        par::TileScheduler::Tile tile;
-        while (true) {
-          if (ctx.check_deadline() || ctx.should_stop(opts.early_exit) ||
-              flag.get())
-            break;
-          if (!sched.acquire(slot_id, tile)) break;
-          auto it = make_iter(tile);
-          par::CheckThrottle throttle(blocks_per_check);
-          u64 tile_hashed = 0;
-          bool running = true;
-          bool tile_done = true;
-          while (running) {
-            if (throttle.due() &&
-                (ctx.check_deadline() || ctx.should_stop(opts.early_exit) ||
-                 flag.get())) {
-              tile_done = false;
-              break;
-            }
-            std::size_t n = 0;
-            Seed256 mask;
-            while (n < kBlock && it.next(mask)) candidates[n++] = s_init ^ mask;
-            if (n == 0) break;  // tile exhausted
-            hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-            std::size_t counted = n;
-            for (std::size_t lane = 0; lane < n; ++lane) {
-              u32 head;
-              std::memcpy(&head, digests[lane].bytes.data(), sizeof(head));
-              if (head != target_head || digests[lane] != target) continue;
-              {
-                std::lock_guard lock(slot.mutex);
-                // Shells overlap in flight; keep the minimal shell.
-                if (!slot.found || tile.shell < slot.distance) {
-                  slot.found = true;
-                  slot.seed = candidates[lane];
-                  slot.distance = tile.shell;
-                }
-              }
-              ctx.signal_match();
-              if (opts.early_exit) {
-                flag.set();  // unified-memory exit for the device side
-                counted = lane + 1;
-                running = false;
-                tile_done = false;
-              }
-              break;
-            }
-            tile_hashed += counted;
-          }
-          unit_hashed += tile_hashed;
-          if (tile_done) sched.complete(tile);
-        }
-        return unit_hashed;
-      };
-
+      // Host units and device threads run the search core's tile driver;
+      // they differ only in how a claimed tile becomes an iterator.
       workers.parallel_workers(host_units + 1, [&](int unit) {
         if (unit < host_units) {
-          const u64 h = drain(unit, [&](const par::TileScheduler::Tile& tile) {
-            return plans[static_cast<std::size_t>(tile.shell)]->make_tile(
-                tile.index);
-          });
+          const u64 h = rbc::detail::drain_tiles(
+              sched, unit,
+              [&](const par::TileScheduler::Tile& tile) {
+                return std::optional(
+                    plans[static_cast<std::size_t>(tile.shell)]->make_tile(
+                        tile.index));
+              },
+              s_init, target, hash, opts, ctx, slot);
           hashed.fetch_add(h, std::memory_order_relaxed);
-          ctx.add_progress(h);
           return;
         }
         // The last unit drives the device: one grid over device_threads
@@ -394,19 +281,20 @@ rbc::SearchResult hetero_cosearch(
               auto* shared_states =
                   reinterpret_cast<comb::ChaseState*>(kctx.shared.data());
               comb::ChaseState& state = shared_states[kctx.threadIdx.x];
-              const u64 h = drain(
-                  host_units + static_cast<int>(t),
+              const u64 h = rbc::detail::drain_tiles(
+                  sched, host_units + static_cast<int>(t),
                   [&](const par::TileScheduler::Tile& tile) {
                     const auto& plan =
                         plans[static_cast<std::size_t>(tile.shell)];
                     // Stage the snapshot into shared memory (§3.2.3), then
                     // resume the walk from the staged copy.
                     state = plan->snapshot(tile.index);
-                    return comb::ChaseIterator(state, plan->tile_count(tile.index));
-                  });
+                    return std::optional(comb::ChaseIterator(
+                        state, plan->tile_count(tile.index)));
+                  },
+                  s_init, target, hash, opts, ctx, slot);
               hashed.fetch_add(h, std::memory_order_relaxed);
               device_hashed.fetch_add(h, std::memory_order_relaxed);
-              ctx.add_progress(h);
             });
       });
 

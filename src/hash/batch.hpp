@@ -56,33 +56,6 @@ inline void hash_seed_block(const H& h, const Seed256* seeds, std::size_t n,
   }
 }
 
-/// Maximum lanes per tagged block — the hit mask is one u64.
-inline constexpr std::size_t kMaxTaggedLanes = 64;
-
-/// Fused-batch form: one multi-lane compression over `n` candidates that
-/// belong to DIFFERENT searches. `tags[i]` names lane i's stream and
-/// `stream_heads[tags[i]]` is that stream's target digest's first 32 bits;
-/// the returned bitmask has bit i set when lane i survives the head
-/// prefilter (the caller confirms survivors against the stream's full
-/// digest). The kernels already treat lanes as unrelated buffers, so
-/// cross-session batches cost exactly what same-session batches do — this
-/// is the primitive the server's FusionEngine feeds.
-template <SeedHash H>
-inline u64 hash_seed_block_tagged(const H& h, const Seed256* seeds,
-                                  std::size_t n, const u16* tags,
-                                  const u32* stream_heads,
-                                  typename H::digest_type* out) noexcept {
-  if (n > kMaxTaggedLanes) n = kMaxTaggedLanes;
-  hash_seed_block(h, seeds, n, out);
-  u64 hits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    u32 head;
-    std::memcpy(&head, out[i].bytes.data(), sizeof(head));
-    if (head == stream_heads[tags[i]]) hits |= u64{1} << i;
-  }
-  return hits;
-}
-
 /// Batched SHA-1 policy: scalar calls take the fixed-padding fast path,
 /// blocks go through the 4/8-lane multi-buffer kernels.
 struct Sha1BatchSeedHash {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <concepts>
-#include <cstring>
 #include <string_view>
 
 #include "bits/seed256.hpp"
@@ -79,21 +78,6 @@ constexpr std::string_view to_string(HashAlgo a) {
 
 constexpr std::size_t digest_size(HashAlgo a) {
   return a == HashAlgo::kSha1 ? 20 : 32;
-}
-
-/// Hashes `seed` under `algo` into a stack digest and compares it against
-/// wire bytes in place — no heap Bytes per check. This is the verify
-/// primitive for per-candidate match confirmation (the fusion engine calls
-/// it when retiring a matched stream).
-inline bool seed_digest_equals(const Seed256& seed, ByteSpan digest,
-                               HashAlgo algo) noexcept {
-  if (digest.size() != digest_size(algo)) return false;
-  if (algo == HashAlgo::kSha1) {
-    const Digest160 d = sha1_seed(seed);
-    return std::memcmp(d.bytes.data(), digest.data(), d.bytes.size()) == 0;
-  }
-  const Digest256 d = sha3_256_seed(seed);
-  return std::memcmp(d.bytes.data(), digest.data(), d.bytes.size()) == 0;
 }
 
 }  // namespace rbc::hash

@@ -1,9 +1,8 @@
 // Metrics registry + export: one snapshot, two wire formats.
 //
 // The serving stack already keeps every number an operator wants —
-// ServerStats counters, LinkStats fault/ARQ tallies, FusionEngine lane
-// accounting, the process-wide ShellMaskCache — but each in its own struct
-// with its own accessor. MetricsRegistry is the flattening seam: callers
+// ServerStats counters, LinkStats fault/ARQ tallies — but each in its own
+// struct with its own accessor. MetricsRegistry is the flattening seam: callers
 // (AuthServer::export_metrics, the throughput bench's --metrics-out)
 // register named counter/gauge series once per snapshot and render them as
 //

@@ -3,8 +3,7 @@
 // Aggregate counters (ServerStats) say WHAT the server did; they cannot say
 // where one session's threshold budget went. The tracer records that
 // timeline as typed span/event records — admission verdict, EDF queue wait,
-// each Hamming shell scanned, every ARQ retransmit, fused-lane residency,
-// final verdict — into a bounded lock-free ring per shard. Records carry
+// each Hamming shell scanned, every ARQ retransmit, final verdict — into a bounded lock-free ring per shard. Records carry
 // BOTH clocks: wall time (seconds since the ring's steady-clock epoch, the
 // time operators bill) and the session's virtual clock (the simulated
 // channel's logical seconds, the time the protocol model bills).
@@ -16,8 +15,8 @@
 //      ServerConfig::trace_enabled is false no SessionTrace is wired up and
 //      every hook reduces to one null-pointer test off the per-seed loop
 //      (hooks fire per SHELL / per RETRANSMIT, never per candidate).
-//   2. TSan-clean concurrency. Many producers (drivers, the fusion pump,
-//      ARQ retries) write one ring while stats snapshots read it. Every
+//   2. TSan-clean concurrency. Many producers (session drivers, ARQ
+//      retries) write one ring while stats snapshots read it. Every
 //      slot field is an atomic and publication goes through a per-slot
 //      sequence stamp, so a torn read is DETECTED and discarded rather
 //      than being a data race.
@@ -47,7 +46,6 @@ enum class SpanKind : u8 {
   kQueueWait = 2,   // admission -> driver pickup; value = admission seq
   kSearchShell = 3, // one Hamming shell scanned; detail = shell, value = hashed
   kRetransmit = 4,  // one ARQ retransmission; detail = attempt, value = seq
-  kFusionLane = 5,  // fused-engine residency; detail = last shell, value = dealt
   kVerdict = 6,     // dispatch -> outcome; detail = Verdict, value = seeds_hashed
 };
 
@@ -66,7 +64,6 @@ constexpr std::string_view kind_name(SpanKind k) {
     case SpanKind::kQueueWait: return "queue_wait";
     case SpanKind::kSearchShell: return "search_shell";
     case SpanKind::kRetransmit: return "retransmit";
-    case SpanKind::kFusionLane: return "fusion_lane";
     case SpanKind::kVerdict: return "verdict";
   }
   return "unknown";

@@ -4,33 +4,32 @@
 // and the per-session `seeds_hashed` accounting both depend on the exact
 // visit order (S_init first, then shells 1..d in the iterator family's
 // sequence). A CandidateStream reifies that order as a *resumable* cursor —
-// fill(seeds, n) produces the next n candidates and can stop at any point —
-// so the same enumeration can be driven by a private search loop (the
-// 1-thread static schedule below in search.hpp) or interleaved with other
-// sessions' streams by the server's fusion engine (server/fusion_engine.hpp),
-// which deals lane slots of one shared hash batch across many streams.
+// fill(seeds, n) produces the next n candidates and can stop at any point.
+// The search core's stream driver (detail::scan_stream in search.hpp) runs
+// every single-unit search over one, and its visit order is the reference
+// the tiled multi-unit driver is held to.
 //
-// Contract (what fusion equivalence tests pin down):
+// Contract (what the CandidateStream and ScheduleEquivalence suites pin):
 //   * The first fill() emits exactly one candidate: S_init (distance 0).
 //   * A single fill() never crosses a shell boundary — every candidate of
-//     one call sits in one shell, reported by last_shell(). Callers that
-//     mirror the solo loop's between-shell deadline checks get a natural
-//     seam at each short return.
+//     one call sits in one shell, reported by last_shell(). The driver's
+//     between-shell deadline checks and per-shell trace spans use the seam
+//     at each short return.
 //   * Candidates are produced in the iterator family's canonical 1-slice
-//     order (prepare(k, 1) / make(0)), which is byte-identical to the
-//     static single-thread schedule — so counting every produced candidate
-//     up to and including a match reproduces the solo `seeds_hashed`
-//     exactly.
+//     order (prepare(k, 1) / make(0)) — the concatenation of the tiled
+//     schedule's tiles — so counting every produced candidate up to and
+//     including a match gives the single-unit `seeds_hashed` exactly.
 //
-// Two implementations:
+// Implementations:
 //   * BallStream<Factory> walks a borrowed iterator factory lazily — the
-//     per-shell prepare() cost lands on the session, same as the solo path.
+//     per-shell prepare() cost lands on the session.
+//   * OrderedBallStream emits each shell maximum-likelihood-first from a
+//     device's reliability profile (same union per shell, new order).
 //   * TableCandidateStream steps through process-wide cached XOR-mask
 //     tables (ShellMaskCache): O(1) setup and O(1) stepping per candidate.
 //     The walk that builds a shell's table is paid once per process instead
-//     of once per session — this is where the fusion engine's per-session
-//     setup win comes from. Memory is bounded by the fusion admission
-//     threshold (masks are 32 B each; a d<=2 ball over 256 bits is ~1 MiB).
+//     of once per session. Masks are 32 B each; a d<=2 ball over 256 bits
+//     is ~1 MiB.
 #pragma once
 
 #include <algorithm>
@@ -68,7 +67,7 @@ class CandidateStream {
 };
 
 /// Number of candidates in the ball of radius `max_distance` (the d0 seed
-/// plus every shell) — the fusion engine's admission-size model.
+/// plus every shell).
 inline u128 ball_candidates(int max_distance, int n_bits = comb::kSeedBits) {
   u128 total = 1;
   for (int k = 1; k <= max_distance; ++k) total += comb::binomial128(n_bits, k);
@@ -165,11 +164,11 @@ class ShellMaskCache {
  public:
   using Table = std::vector<Seed256>;
 
-  /// Process-wide counters, surfaced through ServerStats and the metrics
-  /// export. Counter updates and this snapshot share the cache mutex, so a
-  /// snapshot is internally consistent (never a torn hits/misses pair from
-  /// mid-update) and safe to call concurrently with get()/set_capacity()
-  /// from any thread — the ObsShellCacheTorn TSan stress pins this.
+  /// Process-wide counters. Counter updates and this snapshot share the
+  /// cache mutex, so a snapshot is internally consistent (never a torn
+  /// hits/misses pair from mid-update) and safe to call concurrently with
+  /// get()/set_capacity() from any thread — the ObsShellCacheTorn TSan
+  /// stress pins this.
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;       // table built (or raced) on this fetch
@@ -179,8 +178,7 @@ class ShellMaskCache {
   };
 
   /// Fetches (building on first use) the mask table for shell k. CHECK-fails
-  /// on shells too large to sensibly materialize (the fusion admission
-  /// threshold keeps real callers far below the cap).
+  /// on shells too large to sensibly materialize (kMaxTableMasks).
   static std::shared_ptr<const Table> get(sim::IterAlgo iter, int k,
                                           int n_bits = comb::kSeedBits);
 

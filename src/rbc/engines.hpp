@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "combinatorics/algorithm515.hpp"
@@ -63,23 +62,6 @@ class SearchBackend {
                                            hash::HashAlgo algo) const = 0;
 
   virtual std::string_view name() const = 0;
-};
-
-/// A serving-layer hook that can absorb a session's search into a shared
-/// execution engine instead of the CA's own backend. The CA consults it
-/// first (protocol.cpp process_digest); a nullopt return declines — too
-/// large a ball, engine shutting down, unsupported options — and the
-/// session falls through to the regular SearchBackend unchanged. An accept
-/// must be a pure execution substitution: identical verdict and identical
-/// seeds_hashed to what the backend's single-thread search would report.
-/// The concrete implementation is server::FusionEngine, which multiplexes
-/// many sessions' candidate streams into shared full-width hash batches.
-class SearchOffload {
- public:
-  virtual ~SearchOffload() = default;
-  virtual std::optional<EngineReport> try_search(
-      const Seed256& s_init, ByteSpan digest, hash::HashAlgo algo,
-      const SearchOptions& opts, par::SearchContext* session) = 0;
 };
 
 /// Common configuration for the concrete engines.

@@ -14,8 +14,7 @@ namespace rbc {
 namespace {
 
 /// Hashes into a fixed-size stack buffer and copies once into the wire
-/// Bytes. Digest COMPARISONS never come through here — they use
-/// hash::seed_digest_equals on stack digests (no per-check allocation).
+/// Bytes.
 Bytes hash_seed_bytes(const Seed256& seed, hash::HashAlgo algo) {
   std::array<u8, 32> buf;
   std::size_t len;
@@ -103,8 +102,7 @@ net::Challenge CertificateAuthority::issue_challenge(
 net::AuthResult CertificateAuthority::process_digest(
     const net::HandshakeRequest& handshake, const net::Challenge& challenge,
     const net::DigestSubmission& submission, EngineReport* report_out,
-    par::SearchContext* session, SearchOffload* offload,
-    std::optional<SearchOrder> search_order) {
+    par::SearchContext* session, std::optional<SearchOrder> search_order) {
   RBC_CHECK_MSG(db_.contains(handshake.device_id),
                 "digest from un-enrolled device");
   RBC_CHECK_MSG(submission.hash_algo == handshake.hash_algo,
@@ -129,18 +127,8 @@ net::AuthResult CertificateAuthority::process_digest(
         comb::ReliabilityOrder::from_weights(
             record.profiles[challenge.puf_address].weights().data()));
   }
-  // Offer the search to the serving layer's fused engine first; a decline
-  // (oversized ball, shutdown, no offload) runs the CA's own backend.
-  std::optional<EngineReport> fused;
-  if (offload != nullptr) {
-    fused = offload->try_search(s_init, submission.digest,
-                                submission.hash_algo, opts, session);
-  }
-  const EngineReport report =
-      fused.has_value()
-          ? *std::move(fused)
-          : backend_->search(s_init, submission.digest, submission.hash_algo,
-                             opts, session);
+  const EngineReport report = backend_->search(
+      s_init, submission.digest, submission.hash_algo, opts, session);
   if (report_out != nullptr) *report_out = report;
 
   net::AuthResult result;
@@ -265,7 +253,7 @@ template <typename Ca, typename Ra>
 SessionReport run_exchange(Client& client, Ca&& ca, Ra&& ra,
                            net::LatencyModel latency,
                            par::SearchContext* session_ctx,
-                           const LinkOptions* link, SearchOffload* offload,
+                           const LinkOptions* link,
                            std::optional<SearchOrder> search_order) {
   const bool lossy = link != nullptr && link->faults.active();
   net::Channel client_end{latency, lossy ? link->faults.fork(kClientTxSalt)
@@ -333,7 +321,7 @@ SessionReport run_exchange(Client& client, Ca&& ca, Ra&& ra,
   // 4-9. Search + key registration on the CA.
   session.result = ca.process_digest(
       handshake, challenge, std::get<net::DigestSubmission>(*submission_msg),
-      &session.engine, session_ctx, offload, search_order);
+      &session.engine, session_ctx, search_order);
   const auto result_msg = deliver(ca_end, client_end,
                                   net::Message{session.result});
   if (!result_msg) return finish();
@@ -351,10 +339,9 @@ SessionReport run_authentication(Client& client, CertificateAuthority& ca,
                                  net::LatencyModel latency,
                                  par::SearchContext* session_ctx,
                                  const LinkOptions* link,
-                                 SearchOffload* offload,
                                  std::optional<SearchOrder> search_order) {
   return run_exchange(client, ca, ra, std::move(latency), session_ctx, link,
-                      offload, search_order);
+                      search_order);
 }
 
 SessionReport run_authentication(Client& client,
@@ -363,10 +350,9 @@ SessionReport run_authentication(Client& client,
                                  net::LatencyModel latency,
                                  par::SearchContext* session_ctx,
                                  const LinkOptions* link,
-                                 SearchOffload* offload,
                                  std::optional<SearchOrder> search_order) {
   return run_exchange(client, ca, ra, std::move(latency), session_ctx, link,
-                      offload, search_order);
+                      search_order);
 }
 
 }  // namespace rbc

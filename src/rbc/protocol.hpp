@@ -308,10 +308,7 @@ class CertificateAuthority {
   /// multiplexes the shared worker group, and the RA serializes per stripe.
   /// `session`, when non-null, carries the session deadline into the search
   /// (queue and communication time already spent count against the
-  /// threshold). `offload`, when non-null, is consulted before the backend:
-  /// a serving shard passes its FusionEngine here so small searches join the
-  /// shared cross-session hash batches; a decline falls through to the
-  /// backend unchanged.
+  /// threshold).
   /// `search_order`, when set, overrides the configured search order for
   /// this session (the serving layer threads ServerConfig::search_order
   /// through here without mutating the shared CaConfig).
@@ -320,7 +317,6 @@ class CertificateAuthority {
                                  const net::DigestSubmission& submission,
                                  EngineReport* report_out = nullptr,
                                  par::SearchContext* session = nullptr,
-                                 SearchOffload* offload = nullptr,
                                  std::optional<SearchOrder> search_order =
                                      std::nullopt);
 
@@ -338,12 +334,11 @@ class CertificateAuthority {
                                    const net::DigestSubmission& submission,
                                    EngineReport* report_out = nullptr,
                                    par::SearchContext* session = nullptr,
-                                   SearchOffload* offload = nullptr,
                                    std::optional<SearchOrder> search_order =
                                        std::nullopt) {
       check_owned(handshake.device_id);
       return ca_->process_digest(handshake, challenge, submission, report_out,
-                                 session, offload, search_order);
+                                 session, search_order);
     }
     const CaConfig& config() const noexcept { return ca_->config(); }
     u32 shard() const noexcept { return shard_; }
@@ -427,17 +422,14 @@ struct SessionReport {
 /// `session`, when non-null, is the session's admission-time context: its
 /// deadline governs the CA search and its cancellation aborts it. `link`,
 /// when non-null with an active fault plan, runs the exchange over a lossy
-/// channel with sequenced retransmit framing. `offload`, when non-null, is
-/// offered the CA search before the backend runs it (see SearchOffload).
-/// `search_order`, when set, overrides the CA's configured search order for
-/// this session.
+/// channel with sequenced retransmit framing. `search_order`, when set,
+/// overrides the CA's configured search order for this session.
 SessionReport run_authentication(Client& client, CertificateAuthority& ca,
                                  RegistrationAuthority& ra,
                                  net::LatencyModel latency =
                                      net::LatencyModel(0.15),
                                  par::SearchContext* session = nullptr,
                                  const LinkOptions* link = nullptr,
-                                 SearchOffload* offload = nullptr,
                                  std::optional<SearchOrder> search_order =
                                      std::nullopt);
 
@@ -450,7 +442,6 @@ SessionReport run_authentication(Client& client,
                                      net::LatencyModel(0.15),
                                  par::SearchContext* session = nullptr,
                                  const LinkOptions* link = nullptr,
-                                 SearchOffload* offload = nullptr,
                                  std::optional<SearchOrder> search_order =
                                      std::nullopt);
 

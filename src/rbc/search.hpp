@@ -7,37 +7,41 @@
 // the whole search (§3: "RBC uses a time threshold for which it must
 // authenticate a client").
 //
-// Two schedules drive the same inner loop (see docs/scheduler.md):
+// One probe, two drivers (see docs/scheduler.md):
 //
-//   * kTiled (default) — the ball is decomposed into fixed-size tiles
-//     (comb::ShellTiler) handed out by a work-stealing par::TileScheduler.
-//     One extra pipeline unit publishes shell k+1's iterator plan while
-//     shell k's tiles are still being drained, so workers flow across shell
-//     boundaries instead of parking at a barrier. Exhaustive mode records
-//     the MINIMAL shell containing a match (shells overlap in flight), and
-//     per-tile accounting keeps `seeds_hashed` visit-order exact.
-//   * kStatic — the PR-1/PR-3 shape: each shell is one SPMD round of p
-//     contiguous slices with a barrier in between. Kept as the reference
-//     schedule; CI asserts both report identical results.
+//   * detail::Probe — the fused iterate-and-hash step (§4.5): a filled
+//     candidate block goes through one multi-lane hash call, non-matches are
+//     rejected on the digest's first 32 bits, survivors get the full
+//     compare, and the first matching lane comes back. Every backend —
+//     host search, emulated GPU kernel, CPU+GPU co-search, distributed
+//     ranks — hashes through it.
+//   * detail::scan_stream — one unit over a resumable CandidateStream. This
+//     is the single-thread search (canonical or reliability order) and the
+//     reference visit order the tiled driver is held to.
+//   * detail::drain_tiles — one unit claiming tiles off a work-stealing
+//     par::TileScheduler. rbc_search with num_threads > 1 runs num_threads
+//     of these plus a pipeline unit that publishes shell k+1's plan while
+//     shell k drains; the GPU kernel and the co-search run the same loop.
+//     Exhaustive mode records the MINIMAL shell containing a match (shells
+//     overlap in flight), and per-tile accounting keeps `seeds_hashed`
+//     visit-order exact.
 //
-// Concurrency: rounds run on a WorkerGroup, so any number of sessions can
-// search at once over one set of worker threads. All stop conditions flow
-// through the SearchContext:
-//   * match found   — stops the round under the early-exit policy only;
+// Both drivers share one stop cadence (check_interval seeds, rounded up to
+// whole blocks) and one match rule: the lanes after a match are
+// speculative, so under early exit the count stops at the matching lane.
+//
+// Concurrency: tiled rounds run on a WorkerGroup, so any number of sessions
+// can search at once over one set of worker threads. All stop conditions
+// flow through the SearchContext:
+//   * match found   — stops the search under the early-exit policy only;
 //   * cancellation  — deadline expiry or an external cancel(); honored
 //                     UNCONDITIONALLY, including in exhaustive mode.
 //
-// The function template is monomorphized over the hash policy and the seed
-// iterator factory so the hot loop compiles to straight-line code — the same
-// reason the paper fuses seed iteration and hashing into one GPU kernel
-// (§4.5).
-//
-// Batched hashing: when the hash policy is a BatchSeedHash (hash/batch.hpp),
-// each unit refills a small candidate block from its iterator, compresses
-// all lanes in one multi-buffer call, and rejects non-matches on a 32-bit
-// digest-head compare before the full comparison. Scalar policies run the
-// same loop with a block of one, so results and accounting are identical
-// across policies.
+// The templates are monomorphized over the hash policy and the seed iterator
+// so the hot loop compiles to straight-line code — the same reason the paper
+// fuses seed iteration and hashing into one GPU kernel (§4.5). Scalar hash
+// policies run the same loop with a block of one, so results and accounting
+// are identical across policies.
 #pragma once
 
 #include <array>
@@ -65,9 +69,6 @@
 
 namespace rbc {
 
-/// How work units consume the shells (see the header comment).
-enum class SearchSchedule { kTiled, kStatic };
-
 /// Within-shell candidate order. kCanonical is the iterator family's
 /// combinatorial order — the historical behavior, byte-for-byte. kReliability
 /// re-orders each shell by descending posterior likelihood using the
@@ -79,9 +80,9 @@ enum class SearchOrder : u8 { kCanonical = 0, kReliability = 1 };
 struct SearchOptions {
   /// Maximum Hamming distance d to search (inclusive).
   int max_distance = 3;
-  /// SPMD work units per shell (p in Algorithm 1). Units multiplex onto the
-  /// worker group, so this may exceed the group's thread count. The tiled
-  /// schedule adds one pipeline unit on top.
+  /// Work units (p in Algorithm 1). 1 scans the ball on the calling thread;
+  /// more run the tiled driver, whose units multiplex onto the worker group
+  /// (so this may exceed the group's thread count) plus one pipeline unit.
   int num_threads = 1;
   /// Seeds iterated between stop-condition checks (§4.4 knob): both the
   /// early-exit flag and the deadline are consulted at this cadence, rounded
@@ -97,19 +98,14 @@ struct SearchOptions {
   /// build a local SearchContext when the caller does not provide one; a
   /// caller-provided session context carries its own deadline instead.
   double timeout_s = 20.0;
-  /// Work-distribution schedule. kTiled needs the factory to model
-  /// TiledSeedIteratorFactory and at least two work units; factories that do
-  /// not — and 1-thread searches, which have nobody to steal from — fall
-  /// back to kStatic.
-  SearchSchedule schedule = SearchSchedule::kTiled;
-  /// Candidate seeds per scheduler tile under kTiled; 0 picks
+  /// Candidate seeds per scheduler tile for multi-unit searches; 0 picks
   /// comb::ShellTiler::kDefaultTileSeeds.
   u64 tile_seeds = 0;
   /// Bench/test instrumentation: when set, each work unit calls
-  /// hook(unit, seeds) after every scheduling quantum — a tile under kTiled,
-  /// a check-interval batch under kStatic — with the seeds it just hashed.
-  /// The skewed-workload bench injects a sleeping straggler through this.
-  /// Leave empty in production; it runs on the hot path.
+  /// hook(unit, seeds) after every scheduling quantum — a tile for the tiled
+  /// driver, a check-interval batch for a stream scan — with the seeds it
+  /// just hashed. The skewed-workload bench injects a sleeping straggler
+  /// through this. Leave empty in production; it runs on the hot path.
   std::function<void(int unit, u64 seeds)> quantum_hook;
   /// Within-shell candidate order. kReliability is honored only when
   /// `reliability` is set; the ordered walk is inherently sequential, so it
@@ -142,18 +138,133 @@ struct SearchResult {
 
 namespace detail {
 
-/// Tiled work-stealing driver. Assumes distance 0 was already checked and
-/// missed; fills everything but host_seconds / the d0 contribution.
+/// The probe: hashes a filled block `candidates[0, n)` (n at most
+/// hash::seed_hash_batch<Hash>()) in one multi-lane call, rejects lanes on
+/// the digest's first 32 bits, confirms survivors with the full compare, and
+/// returns the first matching lane — or n when no lane matches. One per work
+/// unit: it holds the target's head and the digest scratch block.
+template <hash::SeedHash Hash>
+class Probe {
+ public:
+  using digest_type = typename Hash::digest_type;
+
+  Probe(const Hash& hash, const digest_type& target) noexcept
+      : hash_(hash), target_(target) {
+    std::memcpy(&target_head_, target.bytes.data(), sizeof(target_head_));
+  }
+
+  std::size_t operator()(const Seed256* candidates, std::size_t n) noexcept {
+    hash::hash_seed_block(hash_, candidates, n, digests_.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      u32 head;
+      std::memcpy(&head, digests_[i].bytes.data(), sizeof(head));
+      if (head == target_head_ && digests_[i] == target_) return i;
+    }
+    return n;
+  }
+
+ private:
+  const Hash& hash_;
+  const digest_type& target_;
+  u32 target_head_ = 0;
+  std::array<digest_type, hash::seed_hash_batch<Hash>()> digests_;
+};
+
+/// The shared stop cadence: check_interval seeds expressed in whole blocks,
+/// so a batch is never split by a poll.
+template <hash::SeedHash Hash>
+u32 blocks_per_check(const SearchOptions& opts) noexcept {
+  constexpr u64 kBlock = hash::seed_hash_batch<Hash>();
+  return static_cast<u32>((std::max<u64>(opts.check_interval, 1) + kBlock - 1) /
+                          kBlock);
+}
+
+/// Where concurrent units record a match. Shells overlap in flight under
+/// tiling, so the MINIMAL shell wins and exhaustive mode still reports the
+/// true distance.
+struct MatchSlot {
+  std::mutex mutex;
+  bool found = false;
+  Seed256 seed;
+  int distance = -1;
+
+  void offer(const Seed256& candidate, int shell) {
+    std::lock_guard lock(mutex);
+    if (!found || shell < distance) {
+      found = true;
+      seed = candidate;
+      distance = shell;
+    }
+  }
+};
+
+/// Tile driver: work unit `unit` claims tiles off `sched` until it runs dry
+/// or a stop condition fires, turning each tile into an iterator with
+/// `make_iter(tile)` (nullopt ends the unit — e.g. a plan walk the deadline
+/// aborted) and draining it block by block through probe(). Fully visited
+/// tiles feed the scheduler's completion watermark. Publishes its count to
+/// the context and returns it.
+template <hash::SeedHash Hash, typename MakeIter>
+u64 drain_tiles(par::TileScheduler& sched, int unit, MakeIter&& make_iter,
+                const Seed256& s_init,
+                const typename Hash::digest_type& target, const Hash& hash,
+                const SearchOptions& opts, par::SearchContext& ctx,
+                MatchSlot& slot) {
+  constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
+  std::array<Seed256, kBlock> candidates;
+  Probe probe(hash, target);
+  const u32 check_blocks = blocks_per_check<Hash>(opts);
+  const auto stop = [&] {
+    return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
+  };
+
+  u64 unit_hashed = 0;
+  par::TileScheduler::Tile tile;
+  while (!stop() && sched.acquire(unit, tile)) {
+    auto it = make_iter(tile);
+    if (!it.has_value()) break;
+    par::CheckThrottle throttle(check_blocks);
+    u64 tile_hashed = 0;
+    bool tile_done = true;  // fully visited (completes the watermark)
+    while (true) {
+      if (throttle.due() && stop()) {
+        tile_done = false;
+        break;
+      }
+      std::size_t n = 0;
+      Seed256 mask;
+      while (n < kBlock && it->next(mask)) candidates[n++] = s_init ^ mask;
+      if (n == 0) break;  // tile exhausted
+      const std::size_t hit = probe(candidates.data(), n);
+      if (hit != n) {
+        slot.offer(candidates[hit], tile.shell);
+        ctx.signal_match();  // line 15: NotifyAllThreadsToExitSearch
+        if (opts.early_exit) {
+          tile_hashed += hit + 1;  // lanes past the match were speculative
+          tile_done = false;
+          break;
+        }
+      }
+      tile_hashed += n;
+    }
+    unit_hashed += tile_hashed;
+    if (tile_done) sched.complete(tile);
+    if (opts.quantum_hook) opts.quantum_hook(unit, tile_hashed);
+  }
+  ctx.add_progress(unit_hashed);
+  return unit_hashed;
+}
+
+/// Multi-unit search over a tiled factory. Assumes distance 0 was already
+/// checked and missed; returns the seeds hashed beyond it.
 template <hash::SeedHash Hash, comb::TiledSeedIteratorFactory Factory>
-void rbc_search_tiled(const Seed256& s_init,
-                      const typename Hash::digest_type& target,
-                      Factory& factory, par::WorkerGroup& workers,
-                      const SearchOptions& opts, const Hash& hash,
-                      par::SearchContext& ctx, SearchResult& result,
-                      std::optional<std::pair<Seed256, int>>& found) {
+u64 rbc_search_tiled(const Seed256& s_init,
+                     const typename Hash::digest_type& target,
+                     Factory& factory, par::WorkerGroup& workers,
+                     const SearchOptions& opts, const Hash& hash,
+                     par::SearchContext& ctx, MatchSlot& slot) {
   const int d = opts.max_distance;
-  if (d == 0) return;
-  std::mutex found_mutex;
+  if (d == 0) return 0;
 
   const u64 tile_seeds = opts.tile_seeds != 0
                              ? opts.tile_seeds
@@ -217,19 +328,8 @@ void rbc_search_tiled(const Seed256& s_init,
     return plans[static_cast<std::size_t>(k)];
   };
 
-  std::vector<u64> hashed_per_unit(static_cast<std::size_t>(units), 0);
-
+  std::atomic<u64> hashed{0};
   workers.parallel_workers(units, [&](int unit) {
-    // Lines 11-16, batched (see the static path below for the lane-level
-    // commentary; both schedules share this inner-loop shape).
-    constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-    std::array<Seed256, kBlock> candidates;
-    std::array<typename Hash::digest_type, kBlock> digests;
-    u32 target_head;
-    std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-    const u32 blocks_per_check = static_cast<u32>(
-        (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-
     if (unit == units - 1) {
       // Pipeline unit: publish plans front to back, then fall through and
       // hash like everyone else. Workers self-prepare if they outrun it.
@@ -238,99 +338,48 @@ void rbc_search_tiled(const Seed256& s_init,
         if (ensure_plan(k) == nullptr) break;
       }
     }
-
-    u64 unit_hashed = 0;
-    par::TileScheduler::Tile tile;
-    while (true) {
-      if (ctx.check_deadline() || ctx.should_stop(opts.early_exit)) break;
-      if (!sched.acquire(unit, tile)) break;
-      const auto plan = ensure_plan(tile.shell);
-      if (plan == nullptr) break;
-
-      auto it = plan->make_tile(tile.index);
-      par::CheckThrottle throttle(blocks_per_check);
-      u64 tile_hashed = 0;
-      bool running = true;
-      bool tile_done = true;  // fully visited (completes the watermark)
-      while (running) {
-        if (throttle.due() &&
-            (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
-          tile_done = false;
-          break;
-        }
-        std::size_t n = 0;
-        Seed256 mask;
-        while (n < kBlock && it.next(mask)) candidates[n++] = s_init ^ mask;
-        if (n == 0) break;  // tile exhausted
-        hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-        std::size_t counted = n;
-        for (std::size_t i = 0; i < n; ++i) {
-          u32 head;
-          std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-          if (head != target_head || digests[i] != target) continue;
-          {
-            std::lock_guard lock(found_mutex);
-            // Shells overlap in flight: keep the minimal shell so
-            // exhaustive mode still reports the true distance.
-            if (!found || tile.shell < found->second)
-              found = {candidates[i], tile.shell};
-          }
-          ctx.signal_match();  // line 15: NotifyAllThreadsToExitSearch
-          if (opts.early_exit) {
-            counted = i + 1;  // lanes past the match were speculative
-            running = false;
-            tile_done = false;
-          }
-          break;
-        }
-        tile_hashed += counted;
-      }
-      unit_hashed += tile_hashed;
-      if (tile_done) sched.complete(tile);
-      if (opts.quantum_hook) opts.quantum_hook(unit, tile_hashed);
-    }
-    hashed_per_unit[static_cast<std::size_t>(unit)] += unit_hashed;
-    ctx.add_progress(unit_hashed);
+    const u64 h = drain_tiles(
+        sched, unit,
+        [&](const par::TileScheduler::Tile& tile)
+            -> std::optional<typename Factory::iterator> {
+          const auto plan = ensure_plan(tile.shell);
+          if (plan == nullptr) return std::nullopt;
+          return plan->make_tile(tile.index);
+        },
+        s_init, target, hash, opts, ctx, slot);
+    hashed.fetch_add(h, std::memory_order_relaxed);
   });
-
   ctx.check_deadline();
-  for (u64 h : hashed_per_unit) result.seeds_hashed += h;
 
   // Structural invariant: an undisturbed run must have completed every
   // shell — the watermark is what certifies full-ball coverage now that no
   // barrier does.
-  if (!ctx.cancel_requested() && !(opts.early_exit && found)) {
+  if (!ctx.cancel_requested() && !(opts.early_exit && slot.found)) {
     RBC_CHECK_MSG(sched.completed_through() == d,
                   "tiled schedule left a shell incomplete");
   }
+  return hashed.load();
 }
 
-/// Single-unit scan of a CandidateStream: the static schedule's inner loop
-/// (block refill -> multi-lane hash -> head prefilter -> full compare ->
-/// visit-order counting) driving a resumable cursor instead of per-shell
-/// iterator slices. This is the reference enumeration the fusion engine's
-/// interleaved execution must reproduce candidate-for-candidate: the stream
-/// yields S_init first, then shells 1..d in canonical order, and `counted`
-/// stops at the match exactly like the per-shell loop's `i + 1`.
+/// Stream driver: one unit over a CandidateStream, block refill -> probe ->
+/// visit-order counting. The stream yields S_init first, then shells 1..d in
+/// its order, and the count stops at the match exactly like the tile loop's
+/// `hit + 1` — this single-unit scan is the reference the tiled driver is
+/// held to (ScheduleEquivalence).
 ///
-/// Stop conditions mirror the per-shell loop: the deadline/early-exit poll
-/// fires at the check-interval cadence AND whenever a refill crosses into a
-/// new shell (the old between-shell check); candidates fetched but not yet
-/// hashed when a stop fires are discarded uncounted.
+/// Stop conditions: the deadline/early-exit poll fires at the check-interval
+/// cadence AND whenever a refill crosses into a new shell; candidates
+/// fetched but not yet hashed when a stop fires are discarded uncounted.
+/// Returns the seeds hashed.
 template <hash::SeedHash Hash>
-void scan_stream(CandidateStream& stream,
-                 const typename Hash::digest_type& target, const Hash& hash,
-                 const SearchOptions& opts, par::SearchContext& ctx,
-                 std::optional<std::pair<Seed256, int>>& found,
-                 u64& hashed_out) {
+u64 scan_stream(CandidateStream& stream,
+                const typename Hash::digest_type& target, const Hash& hash,
+                const SearchOptions& opts, par::SearchContext& ctx,
+                MatchSlot& slot) {
   constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
   std::array<Seed256, kBlock> candidates;
-  std::array<typename Hash::digest_type, kBlock> digests;
-  u32 target_head;
-  std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-  const u32 blocks_per_check = static_cast<u32>(
-      (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-  par::CheckThrottle throttle(blocks_per_check);
+  Probe probe(hash, target);
+  par::CheckThrottle throttle(blocks_per_check<Hash>(opts));
 
   u64 local_hashed = 0;
   u64 since_hook = 0;
@@ -347,8 +396,7 @@ void scan_stream(CandidateStream& stream,
     trace->span(obs::SpanKind::kSearchShell, span_open_s, trace->now_s(),
                 static_cast<u32>(span_shell), span_hashed);
   };
-  bool running = true;
-  while (running) {
+  while (true) {
     bool check_now = false;
     if (throttle.due()) {
       if (opts.quantum_hook) {
@@ -361,7 +409,7 @@ void scan_stream(CandidateStream& stream,
     if (n == 0) break;
     if (stream.last_shell() != last_shell) {
       last_shell = stream.last_shell();
-      check_now = true;  // between-shell poll point of the per-shell loop
+      check_now = true;  // between-shell poll point
       if (trace != nullptr) {
         close_shell_span();
         span_shell = last_shell;
@@ -373,42 +421,38 @@ void scan_stream(CandidateStream& stream,
         (ctx.check_deadline() || ctx.should_stop(opts.early_exit))) {
       break;  // the just-fetched block is discarded unhashed
     }
-    hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-    std::size_t counted = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      u32 head;
-      std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-      if (head != target_head || digests[i] != target) continue;
-      if (!found) found = {candidates[i], last_shell};
+    const std::size_t hit = probe(candidates.data(), n);
+    const bool stop_at_hit = hit != n && opts.early_exit;
+    if (hit != n) {
+      slot.offer(candidates[hit], last_shell);
       ctx.signal_match();
-      if (opts.early_exit) {
-        counted = i + 1;  // lanes past the match were speculative
-        running = false;
-      }
-      break;
     }
+    // Lanes past a match that stops the scan were speculative.
+    const std::size_t counted = stop_at_hit ? hit + 1 : n;
     local_hashed += counted;
     since_hook += counted;
     span_hashed += counted;
+    if (stop_at_hit) break;
   }
   close_shell_span();
   if (opts.quantum_hook && since_hook > 0) opts.quantum_hook(0, since_hook);
   ctx.add_progress(local_hashed);
-  hashed_out += local_hashed;
+  return local_hashed;
 }
 
 }  // namespace detail
 
 /// Searches for a seed whose hash equals `target`, running work units on
 /// `workers`. The factory provides iterators over each shell (Gosper /
-/// Algorithm 515 / Chase 382 all model the concepts).
+/// Algorithm 515 / Chase 382 all model the concept): one unit streams the
+/// ball on the calling thread, more units drain tiles.
 ///
 /// `session`, when non-null, is the authentication session's context: its
 /// deadline (set at admission, so queue time counts against the threshold)
 /// and cancellation govern the search, and progress is published to it. It
 /// must be fresh for this search — the match flag is per-search state. When
 /// null, a local context with an opts.timeout_s budget is used.
-template <hash::SeedHash Hash, comb::SeedIteratorFactory Factory>
+template <hash::SeedHash Hash, comb::TiledSeedIteratorFactory Factory>
 SearchResult rbc_search(const Seed256& s_init,
                         const typename Hash::digest_type& target,
                         Factory& factory, par::WorkerGroup& workers,
@@ -422,8 +466,6 @@ SearchResult rbc_search(const Seed256& s_init,
 
   SearchResult result;
   WallTimer timer;
-  std::mutex found_mutex;
-  std::optional<std::pair<Seed256, int>> found;
 
   // Lines 4-8: distance 0 — hash S_init itself (unit r = 0's job).
   result.seeds_hashed = 1;
@@ -437,151 +479,46 @@ SearchResult rbc_search(const Seed256& s_init,
     return result;
   }
 
-  // Reliability-ordered sessions drive the likelihood-first stream on the
-  // calling thread regardless of num_threads: the best-first enumeration is
-  // inherently sequential, and silently falling through to an order-ignoring
-  // parallel schedule would discard the requested order.
-  bool ran_ordered = false;
+  detail::MatchSlot slot;
   if (opts.order == SearchOrder::kReliability && opts.reliability != nullptr) {
+    // Reliability-ordered sessions stream on the calling thread regardless
+    // of num_threads: the best-first enumeration is inherently sequential,
+    // and an order-ignoring parallel schedule would discard the order.
     OrderedBallStream stream(s_init, opts.max_distance, opts.reliability,
                              opts.ordered_budget, factory.n_bits());
     stream.skip_base();
-    detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
-                              result.seeds_hashed);
-    ctx.check_deadline();
-    ran_ordered = true;
-  }
-
-  bool ran_tiled = false;
-  if constexpr (comb::TiledSeedIteratorFactory<Factory>) {
-    // A single worker has nobody to steal from and nothing to pipeline into;
-    // tiling would only add plan walks and a scheduler unit. Keep 1-thread
-    // searches (e.g. per-session server searches) on the static walk.
-    if (!ran_ordered && opts.schedule == SearchSchedule::kTiled &&
-        opts.num_threads > 1) {
-      // Tiled shells overlap in flight, so a per-shell span would lie about
-      // exclusivity; record one span over the whole tiled scan instead
-      // (detail = d, value = candidates hashed by it).
-      obs::SessionTrace* trace = ctx.trace();
-      const double tiled_open_s = trace != nullptr ? trace->now_s() : 0.0;
-      const u64 tiled_start_progress = ctx.progress();
-      detail::rbc_search_tiled<Hash>(s_init, target, factory, workers, opts,
-                                     hash, ctx, result, found);
-      if (trace != nullptr) {
-        trace->span(obs::SpanKind::kSearchShell, tiled_open_s, trace->now_s(),
-                    static_cast<u32>(opts.max_distance),
-                    ctx.progress() - tiled_start_progress);
-      }
-      ran_tiled = true;
-    }
-  }
-
-  if (!ran_ordered && !ran_tiled && opts.num_threads == 1) {
-    // Single-unit searches (e.g. per-session server searches) drive the
-    // resumable CandidateStream directly on the calling thread: same visit
-    // order and accounting as the per-shell SPMD round below, minus the
-    // WorkerGroup round-trip per shell. The stream starts after distance 0,
-    // which was hashed above.
+    result.seeds_hashed +=
+        detail::scan_stream(stream, target, hash, opts, ctx, slot);
+  } else if (opts.num_threads == 1) {
+    // A single unit has nobody to steal from and nothing to pipeline into;
+    // it drives the resumable stream directly (e.g. per-session server
+    // searches). The stream starts after distance 0, hashed above.
     BallStream<Factory> stream(s_init, opts.max_distance, factory);
     stream.skip_base();
-    detail::scan_stream<Hash>(stream, target, hash, opts, ctx, found,
-                              result.seeds_hashed);
-    ctx.check_deadline();
-  } else if (!ran_ordered && !ran_tiled) {
-    const int p = opts.num_threads;
-    std::vector<u64> hashed_per_unit(static_cast<std::size_t>(p), 0);
-
-    // Line 9: loop over Hamming shells 1..d. The host checks the deadline
-    // between shells; workers check it at a coarse cadence within one.
+    result.seeds_hashed +=
+        detail::scan_stream(stream, target, hash, opts, ctx, slot);
+  } else {
+    // Tiled shells overlap in flight, so a per-shell span would lie about
+    // exclusivity; record one span over the whole tiled scan instead
+    // (detail = d, value = candidates hashed by it).
     obs::SessionTrace* trace = ctx.trace();
-    for (int k = 1; k <= opts.max_distance; ++k) {
-      if (ctx.should_stop(opts.early_exit)) break;
-      if (ctx.check_deadline()) break;
-      const double shell_open_s = trace != nullptr ? trace->now_s() : 0.0;
-      const u64 shell_start_progress = ctx.progress();
-      factory.prepare(k, p);
-
-      workers.parallel_workers(p, [&](int unit) {
-        auto it = factory.make(unit);
-        // Lines 11-16, batched: refill a candidate block by XOR-ing each
-        // iterator delta into S_init, hash every lane in one multi-buffer
-        // call, then reject non-matches on the digests' first 32 bits before
-        // paying for the full comparison. Scalar policies get B = 1, which
-        // is exactly the one-candidate-per-iteration loop.
-        constexpr std::size_t kBlock = hash::seed_hash_batch<Hash>();
-        std::array<Seed256, kBlock> candidates;
-        std::array<typename Hash::digest_type, kBlock> digests;
-        u32 target_head;
-        std::memcpy(&target_head, target.bytes.data(), sizeof(target_head));
-
-        // One unified stop cadence (early-exit flag + deadline), expressed
-        // in whole blocks so a batch is never split by a poll.
-        const u32 blocks_per_check = static_cast<u32>(
-            (std::max<u64>(opts.check_interval, 1) + kBlock - 1) / kBlock);
-        par::CheckThrottle throttle(blocks_per_check);
-
-        u64 local_hashed = 0;
-        u64 since_hook = 0;
-        Seed256 mask;
-        bool running = true;
-        while (running) {
-          if (throttle.due()) {
-            if (opts.quantum_hook) {
-              opts.quantum_hook(unit, since_hook);
-              since_hook = 0;
-            }
-            if (ctx.check_deadline() || ctx.should_stop(opts.early_exit))
-              break;
-          }
-          std::size_t n = 0;
-          while (n < kBlock && it.next(mask)) candidates[n++] = s_init ^ mask;
-          if (n == 0) break;  // slice exhausted
-          hash::hash_seed_block(hash, candidates.data(), n, digests.data());
-          std::size_t counted = n;
-          for (std::size_t i = 0; i < n; ++i) {
-            u32 head;
-            std::memcpy(&head, digests[i].bytes.data(), sizeof(head));
-            if (head != target_head || digests[i] != target) continue;
-            {
-              std::lock_guard lock(found_mutex);
-              if (!found) found = {candidates[i], k};
-            }
-            ctx.signal_match();  // line 15: NotifyAllThreadsToExitSearch
-            if (opts.early_exit) {
-              // Lanes past the match were speculative; count to the match
-              // so the accounting equals the scalar policy's visit order.
-              counted = i + 1;
-              running = false;
-            }
-            break;
-          }
-          local_hashed += counted;
-          since_hook += counted;
-        }
-        // Flush the tail quantum (seeds since the last throttle firing).
-        if (opts.quantum_hook && since_hook > 0)
-          opts.quantum_hook(unit, since_hook);
-        hashed_per_unit[static_cast<std::size_t>(unit)] += local_hashed;
-        ctx.add_progress(local_hashed);
-      });
-
-      if (trace != nullptr) {
-        trace->span(obs::SpanKind::kSearchShell, shell_open_s, trace->now_s(),
-                    static_cast<u32>(k),
-                    ctx.progress() - shell_start_progress);
-      }
-      ctx.check_deadline();
+    const double tiled_open_s = trace != nullptr ? trace->now_s() : 0.0;
+    const u64 tiled = detail::rbc_search_tiled(s_init, target, factory,
+                                               workers, opts, hash, ctx, slot);
+    result.seeds_hashed += tiled;
+    if (trace != nullptr) {
+      trace->span(obs::SpanKind::kSearchShell, tiled_open_s, trace->now_s(),
+                  static_cast<u32>(opts.max_distance), tiled);
     }
-
-    for (u64 h : hashed_per_unit) result.seeds_hashed += h;
   }
+  ctx.check_deadline();
 
-  if (found) {
+  if (slot.found) {
     result.found = true;
-    result.seed = found->first;
-    result.distance = found->second;
+    result.seed = slot.seed;
+    result.distance = slot.distance;
     result.canonical_rank =
-        comb::canonical_ball_rank(found->first ^ s_init, factory.n_bits());
+        comb::canonical_ball_rank(slot.seed ^ s_init, factory.n_bits());
   } else {
     result.timed_out = ctx.timed_out();
     result.cancelled = ctx.cancel_requested() && !ctx.timed_out();

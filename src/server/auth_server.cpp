@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/shard_hash.hpp"
-#include "rbc/candidate_stream.hpp"
 
 namespace rbc::server {
 
@@ -105,11 +104,6 @@ ServerStats AuthServer::aggregate(
     agg.queue_depth += s.queue_depth;
     agg.in_flight += s.in_flight;
     agg.device_states += s.device_states;
-    agg.fused_sessions += s.fused_sessions;
-    agg.fusion_declined += s.fusion_declined;
-    agg.fusion_batches += s.fusion_batches;
-    agg.fusion_lanes_filled += s.fusion_lanes_filled;
-    agg.fusion_lanes_issued += s.fusion_lanes_issued;
     agg.ranked_sessions += s.ranked_sessions;
     hit_rank_sum += s.hit_rank_sum;
     canonical_rank_sum += s.canonical_rank_sum;
@@ -127,17 +121,6 @@ ServerStats AuthServer::aggregate(
                         static_cast<double>(agg.ranked_sessions);
     agg.mean_canonical_rank = static_cast<double>(canonical_rank_sum) /
                               static_cast<double>(agg.ranked_sessions);
-  }
-  // Process-wide shell-mask cache counters (shared across every server in
-  // the process, not a per-instance view).
-  const ShellMaskCache::Stats cache = ShellMaskCache::stats();
-  agg.shell_cache_hits = cache.hits;
-  agg.shell_cache_misses = cache.misses;
-  agg.shell_cache_evictions = cache.evictions;
-  agg.shell_cache_masks = cache.cached_masks;
-  if (agg.fusion_lanes_issued > 0) {
-    agg.lane_occupancy = static_cast<double>(agg.fusion_lanes_filled) /
-                         static_cast<double>(agg.fusion_lanes_issued);
   }
   if (agg.completed > 0) {
     agg.mean_session_s = time_sum / static_cast<double>(agg.completed);
@@ -208,17 +191,6 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
               static_cast<double>(s.frames_reordered));
   reg.counter("rbc_link_frames_stalled_total", "Frames stalled",
               static_cast<double>(s.frames_stalled));
-  // Lane-fusion counters (FusionEngine rollup).
-  reg.counter("rbc_fusion_sessions_total", "Sessions absorbed by fusion",
-              static_cast<double>(s.fused_sessions));
-  reg.counter("rbc_fusion_declined_total", "Sessions fusion declined",
-              static_cast<double>(s.fusion_declined));
-  reg.counter("rbc_fusion_batches_total", "Fused hash batches issued",
-              static_cast<double>(s.fusion_batches));
-  reg.counter("rbc_fusion_lanes_filled_total", "Lane slots carrying work",
-              static_cast<double>(s.fusion_lanes_filled));
-  reg.counter("rbc_fusion_lanes_issued_total", "Lane slots dealt",
-              static_cast<double>(s.fusion_lanes_issued));
   // Search-order telemetry.
   reg.counter("rbc_ranked_sessions_total",
               "Authenticated sessions with rank data",
@@ -227,15 +199,6 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
             s.mean_hit_rank);
   reg.gauge("rbc_mean_canonical_rank",
             "Mean canonical-order rank of the hit", s.mean_canonical_rank);
-  // Shell-mask cache (process-wide, shared by every server).
-  reg.counter("rbc_shell_cache_hits_total", "Shell mask table cache hits",
-              static_cast<double>(s.shell_cache_hits));
-  reg.counter("rbc_shell_cache_misses_total", "Shell mask table cache misses",
-              static_cast<double>(s.shell_cache_misses));
-  reg.counter("rbc_shell_cache_evictions_total", "Shell tables evicted",
-              static_cast<double>(s.shell_cache_evictions));
-  reg.gauge("rbc_shell_cache_masks", "Masks currently cached",
-            static_cast<double>(s.shell_cache_masks));
   // Observability subsystem self-accounting.
   reg.counter("rbc_trace_events_recorded_total", "Trace records published",
               static_cast<double>(s.trace_events_recorded));
@@ -266,8 +229,6 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
             "Median session time (reservoir estimate)", s.p50_session_s);
   reg.gauge("rbc_session_time_seconds_p95",
             "p95 session time (reservoir estimate)", s.p95_session_s);
-  reg.gauge("rbc_fusion_lane_occupancy",
-            "Filled fraction of dealt lane slots", s.lane_occupancy);
   return reg.render(format);
 }
 

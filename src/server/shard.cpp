@@ -42,16 +42,6 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
         static_cast<std::size_t>(std::max(cfg_.trace_ring_events, 1)));
   }
   recorder_ = recorder;
-  if (cfg_.fusion_enabled) {
-    FusionConfig fusion_cfg;
-    fusion_cfg.threshold_seeds = cfg_.fusion_threshold;
-    fusion_cfg.batch_lanes = cfg_.fusion_lanes;
-    // Keep more stream slots than this shard has drivers so backfill never
-    // starves; the default (kChase382) iterator matches the CA backends'
-    // default enumeration order, which the fused accounting depends on.
-    fusion_cfg.max_streams = std::max(drivers * 2, 8);
-    fusion_ = std::make_unique<FusionEngine>(fusion_cfg);
-  }
   drivers_.reserve(static_cast<std::size_t>(drivers));
   for (int i = 0; i < drivers; ++i)
     drivers_.emplace_back([this] { driver_loop(); });
@@ -199,8 +189,8 @@ void Shard::run_session(Session& session) {
   outcome.queue_wait_s = session.admitted.elapsed_s();
 
   // Arm the session's trace: the handle lives in the Session (stable heap
-  // object) and rides the SearchContext through the protocol, search and
-  // fusion layers. Null ring = everything below stays a no-op.
+  // object) and rides the SearchContext through the protocol and search
+  // layers. Null ring = everything below stays a no-op.
   if (ring_) {
     session.trace = obs::SessionTrace(ring_.get(), session.net_salt,
                                       outcome.device_id,
@@ -233,7 +223,7 @@ void Shard::run_session(Session& session) {
     outcome.report =
         run_authentication(*session.client, ca_view_, ra_view_,
                            base_latency_.fork(session.seq), &session.ctx,
-                           link, fusion_.get(), cfg_.search_order);
+                           link, cfg_.search_order);
     outcome.authenticated = outcome.report.result.authenticated;
   }
   outcome.timed_out = session.ctx.timed_out() ||
@@ -354,14 +344,6 @@ Shard::StatsSlice Shard::stats_slice() const {
     std::lock_guard lock(devices_mutex_);
     slice.device_states = devices_.size();
   }
-  if (fusion_) {
-    const FusionStats fusion = fusion_->stats();
-    slice.fused_sessions = fusion.fused_sessions;
-    slice.fusion_declined = fusion.declined;
-    slice.fusion_batches = fusion.batch_count;
-    slice.fusion_lanes_filled = fusion.lanes_filled;
-    slice.fusion_lanes_issued = fusion.lanes_issued;
-  }
   if (ring_) {
     slice.trace_events_recorded = ring_->recorded();
     slice.trace_events_dropped = ring_->dropped();
@@ -405,9 +387,6 @@ void Shard::shutdown() {
   }
   for (auto& driver : drivers_) driver.join();
   drivers_.clear();
-  // Only after the drivers join: in-flight sessions block on the engine's
-  // futures, so stopping it earlier would deadlock the drain.
-  if (fusion_) fusion_->shutdown();
 }
 
 }  // namespace rbc::server

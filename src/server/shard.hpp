@@ -39,7 +39,6 @@
 #include "obs/trace.hpp"
 #include "parallel/search_context.hpp"
 #include "rbc/protocol.hpp"
-#include "server/fusion_engine.hpp"
 
 namespace rbc::server {
 
@@ -90,18 +89,6 @@ struct ServerConfig {
   /// Retransmit policy for lossy sessions (ignored while `fault` is
   /// inactive). Retries charge the session's threshold budget.
   RetryPolicy retry{};
-  /// Cross-session lane fusion (docs/perf.md): when true each shard runs a
-  /// FusionEngine and offers every session's search to it; small searches
-  /// are multiplexed into shared full-width hash batches, large ones
-  /// decline and run the regular backend path. Off by default — the fused
-  /// path is verdict- and accounting-identical, but the knob keeps the
-  /// seed behavior bit-for-bit reproducible.
-  bool fusion_enabled = false;
-  /// Admission cap for fusion, in modeled ball candidates (d0 + shells).
-  /// The default absorbs d <= 2 over 256 bits and declines d >= 3.
-  u64 fusion_threshold = u64{1} << 16;
-  /// Lane slots per fused batch (clamped to hash::kMaxTaggedLanes).
-  int fusion_lanes = 32;
   /// Within-shell search order for every session this server runs. Unset
   /// defers to the CA's own CaConfig::search_order; kReliability turns on
   /// maximum-likelihood-first enumeration for devices whose enrollment
@@ -109,10 +96,10 @@ struct ServerConfig {
   std::optional<SearchOrder> search_order{};
   /// Session tracing (docs/server.md "Observability"): each shard keeps a
   /// lock-free ring of per-session span records — admission, queue wait,
-  /// search shells, retransmits, fusion residency, verdict. Off by default:
-  /// the untraced server is byte-identical to the traced one in verdicts
-  /// and accounting (tracing touches no RNG stream), but the knob keeps
-  /// the hot path down to one null-pointer test per coarse event.
+  /// search shells, retransmits, verdict. Off by default: the untraced
+  /// server is byte-identical to the traced one in verdicts and accounting
+  /// (tracing touches no RNG stream), but the knob keeps the hot path down
+  /// to one null-pointer test per coarse event.
   bool trace_enabled = false;
   /// Per-shard trace ring capacity in events (rounded up to a power of
   /// two). A d<=2 solo session emits ~5 records; size for the window of
@@ -187,16 +174,6 @@ struct ServerStats {
   double mean_session_s = 0.0;
   double p50_session_s = 0.0;
   double p95_session_s = 0.0;
-  /// Lane-fusion counters (zero unless cfg.fusion_enabled), summed across
-  /// the shards' engines. lane_occupancy = fusion_lanes_filled /
-  /// fusion_lanes_issued — the fraction of dealt lane slots that carried a
-  /// candidate (0 when no fused batch ran).
-  u64 fused_sessions = 0;
-  u64 fusion_declined = 0;
-  u64 fusion_batches = 0;
-  u64 fusion_lanes_filled = 0;
-  u64 fusion_lanes_issued = 0;
-  double lane_occupancy = 0.0;
   /// Search-order observability: over authenticated sessions, the mean hit
   /// rank (seeds_hashed — where the search actually stopped) vs the mean
   /// canonical rank (where the canonical order would have stopped). Under
@@ -205,12 +182,6 @@ struct ServerStats {
   u64 ranked_sessions = 0;     // authenticated sessions with rank data
   double mean_hit_rank = 0.0;
   double mean_canonical_rank = 0.0;
-  /// Process-wide ShellMaskCache counters (shared by ALL servers and solo
-  /// streams in the process, not just this server's sessions).
-  u64 shell_cache_hits = 0;
-  u64 shell_cache_misses = 0;
-  u64 shell_cache_evictions = 0;
-  u64 shell_cache_masks = 0;
   /// Observability subsystem counters (zero unless cfg.trace_enabled /
   /// cfg.flight_recorder): ring records published and overwritten across
   /// the shards' rings, and failures the flight recorder ever captured.
@@ -263,11 +234,6 @@ class Shard {
     int in_flight = 0;
     std::size_t device_states = 0;
     double session_time_sum = 0.0;
-    u64 fused_sessions = 0;
-    u64 fusion_declined = 0;
-    u64 fusion_batches = 0;
-    u64 fusion_lanes_filled = 0;
-    u64 fusion_lanes_issued = 0;
     u64 ranked_sessions = 0;
     u64 hit_rank_sum = 0;
     u64 canonical_rank_sum = 0;
@@ -334,10 +300,6 @@ class Shard {
   /// Shared across shards by construction (same cfg seed, no shard salt):
   /// per-session plans depend only on (fault_seed, net_salt).
   net::FaultPlan base_faults_;
-  /// Per-shard fused batch engine (cfg.fusion_enabled); drivers offer every
-  /// session's search to it through the SearchOffload seam. Shut down AFTER
-  /// the drivers join — in-flight sessions block on its futures.
-  std::unique_ptr<FusionEngine> fusion_;
   /// Per-shard span ring (cfg.trace_enabled) and the server-wide flight
   /// recorder (owned by AuthServer; nullptr when off).
   std::unique_ptr<obs::TraceRing> ring_;

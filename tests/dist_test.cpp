@@ -219,5 +219,35 @@ TEST(DistSearch, GuidedChunksCoverShellOncePerRankCount) {
   }
 }
 
+TEST(DistSearch, BatchedAndScalarPoliciesAgree) {
+  // Ranks hash their chunks in blocks through the search core's probe, so a
+  // batched policy must report exactly what the scalar one does: the same
+  // seed and distance, the exact ball when exhaustive, and the same count
+  // to the match under early exit (one rank, so the visit order is fixed).
+  Xoshiro256 rng(8);
+  const Seed256 base = Seed256::random(rng);
+  const Seed256 truth = flipped(base, {19, 230});
+  const hash::Sha1SeedHash reference;
+  for (bool early_exit : {false, true}) {
+    Communicator comm(early_exit ? 1 : 2);
+    SearchOptions opts = ball(2);
+    opts.early_exit = early_exit;
+    const auto scalar = distributed_search<hash::Sha1SeedHash>(
+        comm, base, reference(truth), opts);
+    const auto batched = distributed_search<hash::Sha1BatchSeedHash>(
+        comm, base, reference(truth), opts);
+    EXPECT_TRUE(scalar.found) << "early_exit=" << early_exit;
+    EXPECT_TRUE(batched.found) << "early_exit=" << early_exit;
+    EXPECT_EQ(scalar.seed, truth);
+    EXPECT_EQ(batched.seed, scalar.seed);
+    EXPECT_EQ(batched.distance, scalar.distance);
+    EXPECT_EQ(batched.seeds_hashed, scalar.seeds_hashed)
+        << "early_exit=" << early_exit;
+    if (!early_exit) {
+      EXPECT_EQ(scalar.seeds_hashed, 32897u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rbc::dist

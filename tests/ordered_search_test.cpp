@@ -5,13 +5,12 @@
 // the order changes — so misses count identical seeds_hashed and verdicts
 // can never diverge from the canonical search. On top of that sit the
 // likelihood guarantees (weight sums non-decreasing, the cheapest subset
-// first), the solo-vs-fused equivalence for SearchOrder::kReliability, the
-// single-pass enrollment calibration (mask + profile from one read stream),
+// first), the single-pass enrollment calibration (mask + profile from one read stream),
 // profile persistence (encrypted at rest, legacy records still load), and
 // the shell-mask cache LRU bound.
 //
-// OrderedFusion*/OrderedServer* run under TSan in CI alongside the fusion
-// suites: the ordered stream must ride the shared-batch pump unchanged.
+// OrderedSearch*/OrderedServer* run under TSan in CI: the ordered stream
+// runs through multi-threaded searches and a full concurrent server burst.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,9 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "combinatorics/gosper.hpp"
@@ -33,12 +30,9 @@
 #include "rbc/protocol.hpp"
 #include "rbc/search.hpp"
 #include "server/auth_server.hpp"
-#include "server/fusion_engine.hpp"
 
 namespace rbc {
 namespace {
-
-using server::FusionEngine;
 
 constexpr u64 kBallD2 = 1 + 256 + 32640;  // |ball(d<=2)| over 256 bits
 
@@ -398,155 +392,6 @@ TEST(OrderedSearch, ExplicitCanonicalMatchesDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Solo vs fused equivalence for reliability-ordered sessions
-// ---------------------------------------------------------------------------
-
-Bytes digest_of(const Seed256& s, hash::HashAlgo algo) {
-  if (algo == hash::HashAlgo::kSha1) {
-    const hash::Digest160 d = hash::sha1_seed(s);
-    return Bytes(d.bytes.begin(), d.bytes.end());
-  }
-  const hash::Digest256 d = hash::sha3_256_seed(s);
-  return Bytes(d.bytes.begin(), d.bytes.end());
-}
-
-struct SoloBaseline {
-  std::unique_ptr<SearchBackend> backend;
-  SoloBaseline() {
-    EngineConfig cfg;
-    cfg.host_threads = 1;
-    backend = make_backend("cpu", cfg);
-  }
-  EngineReport run(const Seed256& s_init, const Bytes& digest,
-                   hash::HashAlgo algo, const SearchOptions& opts) {
-    return backend->search(s_init, ByteSpan(digest), algo, opts, nullptr);
-  }
-};
-
-void expect_equivalent(const EngineReport& solo, const EngineReport& fused,
-                       const char* what) {
-  EXPECT_EQ(solo.result.found, fused.result.found) << what;
-  EXPECT_EQ(solo.result.seeds_hashed, fused.result.seeds_hashed) << what;
-  EXPECT_EQ(solo.result.timed_out, fused.result.timed_out) << what;
-  if (solo.result.found) {
-    EXPECT_EQ(solo.result.seed, fused.result.seed) << what;
-    EXPECT_EQ(solo.result.distance, fused.result.distance) << what;
-    EXPECT_EQ(solo.result.canonical_rank, fused.result.canonical_rank) << what;
-  }
-}
-
-SearchOptions reliability_opts(
-    std::shared_ptr<const comb::ReliabilityOrder> order) {
-  SearchOptions opts;
-  opts.max_distance = 2;
-  opts.early_exit = true;
-  opts.timeout_s = 600.0;
-  opts.num_threads = 1;
-  opts.order = SearchOrder::kReliability;
-  opts.reliability = std::move(order);
-  return opts;
-}
-
-TEST(OrderedFusion, SoloAndFusedAgreeOnPlantedMatches) {
-  SoloBaseline solo;
-  FusionEngine engine;
-  const auto order = order_with_likely_bits({7, 42, 130, 222});
-  const SearchOptions opts = reliability_opts(order);
-  const hash::HashAlgo algos[] = {hash::HashAlgo::kSha1,
-                                  hash::HashAlgo::kSha3_256};
-  const Seed256 flips[] = {Seed256{}, with_flipped_bit(Seed256{}, 42),
-                           with_flipped_bit(with_flipped_bit(Seed256{}, 7),
-                                            222)};
-  for (hash::HashAlgo algo : algos) {
-    for (int d = 0; d <= 2; ++d) {
-      const Seed256 s_init = random_seed(0x0F0 + static_cast<u64>(d));
-      const Seed256 planted = s_init ^ flips[d];
-      const Bytes digest = digest_of(planted, algo);
-      const EngineReport want = solo.run(s_init, digest, algo, opts);
-      ASSERT_TRUE(want.result.found);
-      ASSERT_EQ(want.result.distance, d);
-      auto fused =
-          engine.try_search(s_init, ByteSpan(digest), algo, opts, nullptr);
-      ASSERT_TRUE(fused.has_value());
-      expect_equivalent(want, *fused, "ordered planted match");
-    }
-  }
-}
-
-TEST(OrderedFusion, SoloAndFusedAgreeOnMiss) {
-  SoloBaseline solo;
-  FusionEngine engine;
-  const SearchOptions opts =
-      reliability_opts(order_with_likely_bits({1, 2, 3}));
-  const Seed256 s_init = random_seed(0x0F5);
-  const Bytes digest =
-      digest_of(s_init ^ mask_of_weight(8, 0xFEED), hash::HashAlgo::kSha3_256);
-  const EngineReport want =
-      solo.run(s_init, digest, hash::HashAlgo::kSha3_256, opts);
-  ASSERT_FALSE(want.result.found);
-  ASSERT_EQ(want.result.seeds_hashed, kBallD2);
-  auto fused = engine.try_search(s_init, ByteSpan(digest),
-                                 hash::HashAlgo::kSha3_256, opts, nullptr);
-  ASSERT_TRUE(fused.has_value());
-  expect_equivalent(want, *fused, "ordered miss");
-}
-
-TEST(OrderedFusion, ConcurrentMixedOrdersMatchSoloExactly) {
-  // Canonical and reliability-ordered sessions sharing one engine (and thus
-  // the same batches) must each retire with their own solo-exact accounting.
-  constexpr int kSessions = 12;
-  SoloBaseline solo;
-  FusionEngine engine;
-  const auto order = order_with_likely_bits({11, 99, 180});
-
-  struct Case {
-    Seed256 s_init;
-    Bytes digest;
-    hash::HashAlgo algo;
-    SearchOptions opts;
-    EngineReport want;
-  };
-  std::vector<Case> cases;
-  for (int i = 0; i < kSessions; ++i) {
-    Case c;
-    c.s_init = random_seed(0x313A + static_cast<u64>(i));
-    c.algo = (i % 3 == 0) ? hash::HashAlgo::kSha1 : hash::HashAlgo::kSha3_256;
-    c.opts = (i % 2 == 0) ? reliability_opts(order)
-                          : SearchOptions{};
-    if (i % 2 != 0) {
-      c.opts.max_distance = 2;
-      c.opts.timeout_s = 600.0;
-      c.opts.num_threads = 1;
-    }
-    const int kind = i % 4;  // 0..2: planted at d=kind; 3: miss
-    const int weight = kind <= 2 ? kind : 9;
-    c.digest = digest_of(
-        c.s_init ^ mask_of_weight(weight, 0xDA7A + static_cast<u64>(i)),
-        c.algo);
-    c.want = solo.run(c.s_init, c.digest, c.algo, c.opts);
-    cases.push_back(std::move(c));
-  }
-
-  std::vector<std::optional<EngineReport>> fused(kSessions);
-  std::vector<std::thread> drivers;
-  for (int i = 0; i < kSessions; ++i) {
-    drivers.emplace_back([&, i] {
-      const Case& c = cases[static_cast<unsigned>(i)];
-      fused[static_cast<unsigned>(i)] = engine.try_search(
-          c.s_init, ByteSpan(c.digest), c.algo, c.opts, nullptr);
-    });
-  }
-  for (auto& t : drivers) t.join();
-
-  for (int i = 0; i < kSessions; ++i) {
-    ASSERT_TRUE(fused[static_cast<unsigned>(i)].has_value()) << "session " << i;
-    expect_equivalent(cases[static_cast<unsigned>(i)].want,
-                      *fused[static_cast<unsigned>(i)], "mixed orders");
-  }
-  EXPECT_EQ(engine.stats().fused_sessions, static_cast<u64>(kSessions));
-}
-
-// ---------------------------------------------------------------------------
 // Enrollment: single-pass calibration + profile persistence
 // ---------------------------------------------------------------------------
 
@@ -720,7 +565,6 @@ TEST(OrderedServer, ReliabilityOrderedBurstAuthenticatesAndRanks) {
   cfg.max_queue_depth = kSessions;
   cfg.max_in_flight = kSessions;
   cfg.session_budget_s = 600.0;
-  cfg.fusion_enabled = true;  // ordered streams must ride the fused path too
   cfg.search_order = SearchOrder::kReliability;
   server::AuthServer server(cfg, &ca, &ra);
 

@@ -235,44 +235,57 @@ TEST(RbcSearch, WidthBeyondGroupSizeMultiplexes) {
 TEST(RbcSearch, ExhaustiveModeHonorsTimeout) {
   // Regression: with early_exit=false the deadline must still cancel the
   // search promptly — cancellation is independent of the early-exit policy.
+  // On the single-unit stream the d-0 probe precedes the first poll, so an
+  // already-expired budget hashes exactly S_init.
   Xoshiro256 rng(21);
   const Seed256 base = Seed256::random(rng);
   const Seed256 truth = seed_at_distance(base, 10, 91);  // not in the ball
-  comb::ChaseFactory factory;
-  par::WorkerGroup pool(2);
-  const hash::Sha3SeedHash hash;
-  SearchOptions opts;
-  opts.max_distance = 4;  // ~183M seeds if allowed to run
-  opts.num_threads = 2;
-  opts.early_exit = false;
-  opts.timeout_s = 0.0;
-  WallTimer timer;
-  const auto r =
-      rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool, opts, hash);
-  EXPECT_FALSE(r.found);
-  EXPECT_TRUE(r.timed_out);
-  EXPECT_LT(timer.elapsed_s(), 30.0) << "timed-out exhaustive search must "
-                                        "stop promptly, not visit the ball";
+  for (int units : {2, 1}) {
+    comb::ChaseFactory factory;
+    par::WorkerGroup pool(2);
+    const hash::Sha3SeedHash hash;
+    SearchOptions opts;
+    opts.max_distance = 4;  // ~183M seeds if allowed to run
+    opts.num_threads = units;
+    opts.early_exit = false;
+    opts.timeout_s = 0.0;
+    WallTimer timer;
+    const auto r =
+        rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool, opts, hash);
+    EXPECT_FALSE(r.found);
+    EXPECT_TRUE(r.timed_out);
+    EXPECT_FALSE(r.cancelled);
+    EXPECT_LT(timer.elapsed_s(), 30.0) << "timed-out exhaustive search must "
+                                          "stop promptly, not visit the ball";
+    if (units == 1) {
+      EXPECT_EQ(r.seeds_hashed, 1u);
+    }
+  }
 }
 
 TEST(RbcSearch, ExternalCancelAbortsSearch) {
   Xoshiro256 rng(22);
   const Seed256 base = Seed256::random(rng);
   const Seed256 truth = seed_at_distance(base, 10, 92);
-  comb::ChaseFactory factory;
-  par::WorkerGroup pool(2);
-  const hash::Sha3SeedHash hash;
-  SearchOptions opts;
-  opts.max_distance = 3;
-  opts.num_threads = 2;
-  par::SearchContext ctx;  // no deadline
-  ctx.cancel();            // cancelled before it starts
-  const auto r = rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool,
-                                          opts, hash, &ctx);
-  EXPECT_FALSE(r.found);
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_LT(r.seeds_hashed, 257u);
+  for (int units : {2, 1}) {
+    comb::ChaseFactory factory;
+    par::WorkerGroup pool(2);
+    const hash::Sha3SeedHash hash;
+    SearchOptions opts;
+    opts.max_distance = 3;
+    opts.num_threads = units;
+    par::SearchContext ctx;  // no deadline
+    ctx.cancel();            // cancelled before it starts
+    const auto r = rbc_search<Sha3SeedHash>(base, hash(truth), factory, pool,
+                                            opts, hash, &ctx);
+    EXPECT_FALSE(r.found);
+    EXPECT_FALSE(r.timed_out);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_LT(r.seeds_hashed, 257u);
+    if (units == 1) {
+      EXPECT_EQ(r.seeds_hashed, 1u);  // d0 precedes the first poll
+    }
+  }
 }
 
 TEST(RbcSearch, SessionContextReportsProgress) {
@@ -292,19 +305,23 @@ TEST(RbcSearch, SessionContextReportsProgress) {
   EXPECT_EQ(ctx.progress(), r.seeds_hashed);
 }
 
-// --- tiled vs static schedule equivalence (PR 4) ---------------------------
+// --- tiled driver vs single-unit stream equivalence -------------------------
+//
+// The single-unit stream scan is the reference visit order: num_threads = 1
+// runs it on the calling thread, num_threads > 1 runs the tiled
+// work-stealing driver. Both must report the same verdicts and exact counts.
+// (The suite's test names predate the retired static schedule, which was
+// the reference before the stream scan.)
 
 template <typename Hash, typename Factory>
-SearchResult search_scheduled(const Seed256& base, const Seed256& truth,
-                              SearchSchedule schedule, bool early_exit,
-                              int threads = 3, u64 tile_seeds = 0) {
+SearchResult search_units(const Seed256& base, const Seed256& truth,
+                          int units, bool early_exit, u64 tile_seeds = 0) {
   Factory factory;
-  par::WorkerGroup pool(threads);
+  par::WorkerGroup pool(units);
   SearchOptions opts;
   opts.max_distance = 2;
-  opts.num_threads = threads;
+  opts.num_threads = units;
   opts.early_exit = early_exit;
-  opts.schedule = schedule;
   opts.tile_seeds = tile_seeds;
   opts.timeout_s = 600.0;
   const Hash hash;
@@ -317,41 +334,43 @@ void expect_schedules_equivalent(u64 rng_seed) {
   const Seed256 base = Seed256::random(rng);
   const Seed256 planted = seed_at_distance(base, 2, rng_seed + 40);
   const Seed256 absent = seed_at_distance(base, 9, rng_seed + 41);
+  constexpr int kTiled = 3;   // tiled driver: 3 units + pipeline unit
+  constexpr int kStream = 1;  // single-unit stream scan
 
-  // Exhaustive, match absent: both schedules must visit the exact ball.
-  const auto tiled_ex = search_scheduled<Sha1SeedHash, Factory>(
-      base, absent, SearchSchedule::kTiled, /*early_exit=*/false);
-  const auto static_ex = search_scheduled<Sha1SeedHash, Factory>(
-      base, absent, SearchSchedule::kStatic, /*early_exit=*/false);
+  // Exhaustive, match absent: both drivers must visit the exact ball.
+  const auto tiled_ex = search_units<Sha1SeedHash, Factory>(
+      base, absent, kTiled, /*early_exit=*/false);
+  const auto stream_ex = search_units<Sha1SeedHash, Factory>(
+      base, absent, kStream, /*early_exit=*/false);
   EXPECT_FALSE(tiled_ex.found);
-  EXPECT_FALSE(static_ex.found);
+  EXPECT_FALSE(stream_ex.found);
   EXPECT_EQ(tiled_ex.seeds_hashed, 32897u);
-  EXPECT_EQ(static_ex.seeds_hashed, tiled_ex.seeds_hashed);
+  EXPECT_EQ(stream_ex.seeds_hashed, tiled_ex.seeds_hashed);
 
   // Exhaustive with a planted match: identical found/seed/distance AND
   // identical exact counts.
-  const auto tiled_hit = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kTiled, /*early_exit=*/false);
-  const auto static_hit = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kStatic, /*early_exit=*/false);
+  const auto tiled_hit = search_units<Sha1SeedHash, Factory>(
+      base, planted, kTiled, /*early_exit=*/false);
+  const auto stream_hit = search_units<Sha1SeedHash, Factory>(
+      base, planted, kStream, /*early_exit=*/false);
   EXPECT_TRUE(tiled_hit.found);
-  EXPECT_TRUE(static_hit.found);
+  EXPECT_TRUE(stream_hit.found);
   EXPECT_EQ(tiled_hit.seed, planted);
-  EXPECT_EQ(static_hit.seed, planted);
+  EXPECT_EQ(stream_hit.seed, planted);
   EXPECT_EQ(tiled_hit.distance, 2);
-  EXPECT_EQ(static_hit.distance, 2);
+  EXPECT_EQ(stream_hit.distance, 2);
   EXPECT_EQ(tiled_hit.seeds_hashed, 32897u);
-  EXPECT_EQ(static_hit.seeds_hashed, 32897u);
+  EXPECT_EQ(stream_hit.seeds_hashed, 32897u);
 
   // Early exit: both must report the same (unique) seed and distance.
-  const auto tiled_ee = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kTiled, /*early_exit=*/true);
-  const auto static_ee = search_scheduled<Sha1SeedHash, Factory>(
-      base, planted, SearchSchedule::kStatic, /*early_exit=*/true);
+  const auto tiled_ee = search_units<Sha1SeedHash, Factory>(
+      base, planted, kTiled, /*early_exit=*/true);
+  const auto stream_ee = search_units<Sha1SeedHash, Factory>(
+      base, planted, kStream, /*early_exit=*/true);
   EXPECT_TRUE(tiled_ee.found);
-  EXPECT_TRUE(static_ee.found);
-  EXPECT_EQ(tiled_ee.seed, static_ee.seed);
-  EXPECT_EQ(tiled_ee.distance, static_ee.distance);
+  EXPECT_TRUE(stream_ee.found);
+  EXPECT_EQ(tiled_ee.seed, stream_ee.seed);
+  EXPECT_EQ(tiled_ee.distance, stream_ee.distance);
 }
 
 TEST(ScheduleEquivalence, ChaseTiledMatchesStatic) {
@@ -372,17 +391,17 @@ TEST(ScheduleEquivalence, TinyTilesStillCoverTheExactBall) {
   Xoshiro256 rng(33);
   const Seed256 base = Seed256::random(rng);
   const Seed256 absent = seed_at_distance(base, 9, 99);
-  const auto r = search_scheduled<Sha1SeedHash, comb::ChaseFactory>(
-      base, absent, SearchSchedule::kTiled, /*early_exit=*/false,
-      /*threads=*/4, /*tile_seeds=*/64);
+  const auto r = search_units<Sha1SeedHash, comb::ChaseFactory>(
+      base, absent, /*units=*/4, /*early_exit=*/false, /*tile_seeds=*/64);
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.seeds_hashed, 32897u);
 }
 
 TEST(ScheduleEquivalence, QuantumHookObservesEveryHashedSeed) {
   // The bench instrumentation hook must account for exactly the seeds the
-  // result reports (minus the d-0 probe, which runs outside the hook).
-  for (auto schedule : {SearchSchedule::kTiled, SearchSchedule::kStatic}) {
+  // result reports (minus the d-0 probe, which runs outside the hook), on
+  // the tiled driver and on the stream scan.
+  for (int units : {3, 1}) {
     Xoshiro256 rng(34);
     const Seed256 base = Seed256::random(rng);
     const Seed256 absent = seed_at_distance(base, 9, 100);
@@ -390,9 +409,8 @@ TEST(ScheduleEquivalence, QuantumHookObservesEveryHashedSeed) {
     par::WorkerGroup pool(3);
     SearchOptions opts;
     opts.max_distance = 2;
-    opts.num_threads = 3;
+    opts.num_threads = units;
     opts.early_exit = false;
-    opts.schedule = schedule;
     opts.timeout_s = 600.0;
     std::atomic<u64> hooked{0};
     opts.quantum_hook = [&](int, u64 seeds) { hooked += seeds; };
