@@ -3,7 +3,8 @@
 # ThreadSanitizer and re-run the concurrency-sensitive suites. The TSan pass
 # is what keeps the multi-session server honest — the stress tests exercise
 # submitters -> admission queue -> drivers -> shared WorkerGroup -> RA at
-# once, so any missing synchronization shows up as a race report here.
+# once, so any missing synchronization shows up as a race report here. A
+# last ASan+UBSan build re-runs the input-parsing and serving suites.
 #
 # Usage: scripts/ci.sh [jobs]
 #
@@ -16,14 +17,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "=== [1/13] configure + build (default) ==="
+echo "=== [1/14] configure + build (default) ==="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 
-echo "=== [2/13] ctest (default) ==="
+echo "=== [2/14] ctest (default) ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [3/13] search equivalence under forced dispatch levels ==="
+echo "=== [3/14] search equivalence under forced dispatch levels ==="
 # The auto run above already covered the host's best level; re-run the
 # equivalence suites with the RBC_HASH_SIMD knob capping dispatch so the
 # scalar-tail and SWAR code paths are exercised even on AVX2 hosts. Every
@@ -35,7 +36,7 @@ for level in scalar swar; do
     -j "$JOBS" -R 'HashBatch|ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|Dist'
 done
 
-echo "=== [4/13] schedule equivalence: tiled == single-unit stream ==="
+echo "=== [4/14] schedule equivalence: tiled == single-unit stream ==="
 # The work-stealing tile scheduler (docs/scheduler.md) must be a pure
 # performance change: found/seed/distance and exhaustive seeds_hashed
 # identical to the single-unit stream scan (the reference visit order) for
@@ -45,7 +46,7 @@ echo "=== [4/13] schedule equivalence: tiled == single-unit stream ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ScheduleEquivalence|SeekEquivalence|HeteroCoSearch|ShellTiler|TileScheduler'
 
-echo "=== [5/13] chaos smoke: fault injection + fuzz regression corpus ==="
+echo "=== [5/14] chaos smoke: fault injection + fuzz regression corpus ==="
 # The deterministic chaos harness (docs/server.md "Fault model & retry
 # policy"): fixed-seed fault plans through every layer — FaultPlan contract,
 # channel fault semantics, ARQ survival/replay, and the 4-shard chaos run —
@@ -55,7 +56,7 @@ echo "=== [5/13] chaos smoke: fault injection + fuzz regression corpus ==="
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'ChaosPlan|ChaosChannel|ChaosProtocol|ChaosServer|FuzzDeserialize|FuzzSeqFrame|WireGolden'
 
-echo "=== [6/13] bench smoke: batched hash throughput ==="
+echo "=== [6/14] bench smoke: batched hash throughput ==="
 # Release-configured bench build; one quick repetition proves the batched
 # kernels run at every advertised level (full numbers: docs/perf.md).
 if [[ "${RBC_CI_BENCH:-1}" == "1" ]]; then
@@ -67,7 +68,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [7/13] bench smoke: server shard sweep -> BENCH_PR6.json ==="
+echo "=== [7/14] bench smoke: server shard sweep -> BENCH_PR6.json ==="
 # The sharded serving layer's acceptance run: 1/2/4/8 shards at equal total
 # resources. The binary exits nonzero if sharded p95 regresses >10% against
 # the single-queue baseline or any session registers a corrupt key.
@@ -79,7 +80,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [8/13] bench smoke: chaos p95 degradation sweep ==="
+echo "=== [8/14] bench smoke: chaos p95 degradation sweep ==="
 # Fixed-seed chaos run at drop rates 0/2/5/10%: every session must resolve
 # (submitted == rejected + completed at each point) and no lossy session may
 # register a corrupt key. The binary exits nonzero otherwise.
@@ -89,7 +90,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [9/13] bench smoke: reliability-ordered search -> BENCH_PR9.json ==="
+echo "=== [9/14] bench smoke: reliability-ordered search -> BENCH_PR9.json ==="
 # The reliability-guided ordering acceptance run: a 192-session injected-d=3
 # burst replayed under canonical and maximum-likelihood-first order. The
 # binary exits nonzero unless the ordered run hashes >= 5x fewer seeds per
@@ -102,7 +103,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [10/13] bench smoke: observability -> BENCH_PR10.json + metrics export ==="
+echo "=== [10/14] bench smoke: observability -> BENCH_PR10.json + metrics export ==="
 # The observability layer's acceptance run: the dispatch-overhead burst
 # untraced vs traced (span tracer + flight recorder armed). The binary exits
 # nonzero unless traced p95 stays within the 5% overhead gate with zero
@@ -122,7 +123,7 @@ else
   echo "(skipped: RBC_CI_BENCH=0)"
 fi
 
-echo "=== [11/13] bench trajectory: merge archived BENCH_*.json ==="
+echo "=== [11/14] bench trajectory: merge archived BENCH_*.json ==="
 # One table across every archived acceptance run; exits nonzero if any
 # archived acceptance_* gate reads false (stale or regressed archive).
 if command -v python3 >/dev/null 2>&1; then
@@ -131,11 +132,11 @@ else
   echo "(skipped: python3 not available)"
 fi
 
-echo "=== [12/13] configure + build (ThreadSanitizer) ==="
+echo "=== [12/14] configure + build (ThreadSanitizer) ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 
-echo "=== [13/13] ctest (tsan: concurrency suites) ==="
+echo "=== [13/14] ctest (tsan: concurrency suites) ==="
 # TSan slows execution ~5-15x; run the suites that exercise cross-thread
 # seams rather than the whole (mostly single-threaded) matrix. ShardStress
 # runs the sharded server (shards > 1) through concurrent submit/stats/
@@ -149,5 +150,16 @@ echo "=== [13/13] ctest (tsan: concurrency suites) ==="
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
   -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|OrderedSearch|OrderedServer|ShellCacheLru|Obs'
+
+echo "=== [14/14] configure + build + ctest (ASan+UBSan: input and serving suites) ==="
+# AddressSanitizer + UndefinedBehaviorSanitizer over the code that parses
+# hostile bytes (enrollment store, fuzz corpus, wire goldens, messages) and
+# the serving layer that owns session lifetimes (stress, chaos, obs). UBSan
+# recovers by default; halt_on_error makes any report fail the gate.
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j "$JOBS"
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ctest --test-dir build-asan \
+  --output-on-failure -j "$JOBS" \
+  -R 'EnrollmentDatabase|Fuzz|WireGolden|Message|ServerStress|ShardStress|Chaos|Obs'
 
 echo "CI: all gates green"

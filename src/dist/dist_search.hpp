@@ -8,10 +8,15 @@
 // shell's lexicographic sequence — shrinking from remaining/(2*size) down
 // to a check-interval-sized floor — and the rank unranks its start with
 // Algorithm 515 and walks the chunk with successor stepping. There are NO
-// per-shell barriers: as soon as a shell's chunks are all granted, rank 0
-// moves its grant pointer to the next shell while stragglers finish their
-// last chunks in the background; a rank that outruns the coordinator has
-// its request deferred until the grant pointer catches up. Each rank walks
+// per-shell barriers in exhaustive mode: as soon as a shell's chunks are all
+// granted, rank 0 moves its grant pointer to the next shell while
+// stragglers finish their last chunks in the background; a rank that
+// outruns the coordinator has its request deferred until the grant pointer
+// catches up. Under early exit the pointer moves only once every chunk of
+// the shell is back (its holder has asked again), so a match in shell k is
+// always seen before any rank is granted shell k+1: otherwise one
+// descheduled finder lets the other ranks search the whole next shell.
+// The wait is at most one floor-sized chunk per shell. Each rank walks
 // its chunks in candidate blocks through the search core's probe
 // (rbc/search.hpp), so batched hash policies hash many lanes per call here
 // exactly as they do in the shared-memory engines.
@@ -33,6 +38,7 @@
 #include <cstring>
 #include <deque>
 #include <thread>
+#include <vector>
 
 #include "combinatorics/algorithm515.hpp"
 #include "dist/comm.hpp"
@@ -199,6 +205,10 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
       bool stopping = false;
       bool stop_sent = false;
       std::deque<Packet> deferred;  // WANTs for shells ahead of the pointer
+      // Ranks holding a granted chunk they have not yet asked past; a
+      // rank's FOUND precedes its next WANT in rank 0's mailbox.
+      std::vector<u8> holds_chunk(static_cast<std::size_t>(size), 0);
+      int holders = 0;
 
       auto broadcast_stop = [&] {
         if (stop_sent) return;
@@ -219,6 +229,8 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
           if (n > remaining) n = remaining;
           ctx.send(dest, detail::kTagTile,
                    detail::encode_grant(next_lo, static_cast<u64>(n)));
+          holds_chunk[static_cast<std::size_t>(dest)] = 1;
+          ++holders;
           next_lo += n;
           remaining -= n;
         } else if (!stopping && want_shell > current_shell) {
@@ -242,6 +254,10 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
             broadcast_stop();
           }
           return;
+        }
+        if (holds_chunk[static_cast<std::size_t>(packet.source)] != 0) {
+          holds_chunk[static_cast<std::size_t>(packet.source)] = 0;
+          --holders;
         }
         grant_to(packet.source, packet.payload[1]);
       };
@@ -278,6 +294,15 @@ DistSearchResult distributed_search(Communicator& comm, const Seed256& s_init,
           remaining -= n;
           search_chunk(shell, lo, n);
           if (stop) stopping = true;
+        }
+        // Early exit: take in this shell's outstanding chunks (and any
+        // FOUND, rank 0's own included) before moving the pointer on.
+        if (opts.early_exit) {
+          service_mailbox();
+          while (!stopping && holders > 0) {
+            std::this_thread::yield();
+            service_mailbox();
+          }
         }
       }
 

@@ -47,16 +47,8 @@ std::future<SessionOutcome> AuthServer::submit(Client* client) {
   return submit(client, cfg_.session_budget_s);
 }
 
-std::future<SessionOutcome> AuthServer::submit(Client* client,
-                                               double budget_s) {
-  RBC_CHECK(client != nullptr);
-  const std::size_t s =
-      static_cast<std::size_t>(shard_of_device(client->config().device_id));
-  return shards_[s]->submit(client, budget_s);
-}
-
 std::future<SessionOutcome> AuthServer::submit(Client* client, double budget_s,
-                                               u64 net_salt) {
+                                               std::optional<u64> net_salt) {
   RBC_CHECK(client != nullptr);
   const std::size_t s =
       static_cast<std::size_t>(shard_of_device(client->config().device_id));
@@ -79,47 +71,28 @@ ServerStats AuthServer::aggregate(
   ServerStats agg;
   agg.shards = static_cast<int>(shards_.size());
   double time_sum = 0.0;
-  u64 hit_rank_sum = 0;
-  u64 canonical_rank_sum = 0;
   std::vector<const ReservoirSample*> reservoirs;
   reservoirs.reserve(slices.size());
   for (const Shard::StatsSlice& s : slices) {
-    agg.submitted += s.submitted;
-    agg.rejected += s.rejected;
-    agg.shed_infeasible += s.shed_infeasible;
-    agg.completed += s.completed;
-    agg.authenticated += s.authenticated;
-    agg.timed_out += s.timed_out;
-    agg.cancelled += s.cancelled;
-    agg.transport_failed += s.transport_failed;
-    agg.retransmits += s.retransmits;
-    agg.frames_dropped += s.frames_dropped;
-    agg.frames_corrupted += s.frames_corrupted;
-    agg.frames_duplicated += s.frames_duplicated;
-    agg.frames_reordered += s.frames_reordered;
-    agg.frames_stalled += s.frames_stalled;
-    agg.link_timeouts += s.link_timeouts;
-    agg.trace_events_recorded += s.trace_events_recorded;
-    agg.trace_events_dropped += s.trace_events_dropped;
+    for (const CounterRow& row : kServerCounters)
+      agg.*row.field += s.counters.*row.field;
     agg.queue_depth += s.queue_depth;
     agg.in_flight += s.in_flight;
     agg.device_states += s.device_states;
-    agg.ranked_sessions += s.ranked_sessions;
-    hit_rank_sum += s.hit_rank_sum;
-    canonical_rank_sum += s.canonical_rank_sum;
     time_sum += s.session_time_sum;
     if (!s.session_times.empty()) reservoirs.push_back(&s.session_times);
   }
-  // Mean-of-sums, never mean-of-means: slices report integer SUMS
+  if (recorder_) agg.flight_records = recorder_->total();
+  // Mean-of-sums, never mean-of-means: slices carry integer SUMS
   // (hit_rank_sum / canonical_rank_sum) precisely so the N-shard aggregate
   // is the same weighted mean a 1-shard server computes over the identical
   // session set — obs_test pins this equivalence. All ratio derivations
   // below are denominator-guarded; zero denominators render the 0.0
   // sentinel (pre-traffic snapshots must never divide by zero or abort).
   if (agg.ranked_sessions > 0) {
-    agg.mean_hit_rank = static_cast<double>(hit_rank_sum) /
+    agg.mean_hit_rank = static_cast<double>(agg.hit_rank_sum) /
                         static_cast<double>(agg.ranked_sessions);
-    agg.mean_canonical_rank = static_cast<double>(canonical_rank_sum) /
+    agg.mean_canonical_rank = static_cast<double>(agg.canonical_rank_sum) /
                               static_cast<double>(agg.ranked_sessions);
   }
   if (agg.completed > 0) {
@@ -131,7 +104,6 @@ ServerStats AuthServer::aggregate(
     agg.p50_session_s = merged_percentile(reservoirs, 0.50);
     agg.p95_session_s = merged_percentile(reservoirs, 0.95);
   }
-  if (recorder_) agg.flight_records = recorder_->total();
   return agg;
 }
 
@@ -157,57 +129,15 @@ std::string AuthServer::export_metrics(obs::MetricsFormat format) const {
   const ServerStats s = aggregate(slices);
 
   obs::MetricsRegistry reg;
-  // Session lifecycle counters (the ServerStats invariant family).
-  reg.counter("rbc_sessions_submitted_total", "Sessions submitted",
-              static_cast<double>(s.submitted));
-  reg.counter("rbc_sessions_rejected_total", "Sessions shed at admission",
-              static_cast<double>(s.rejected));
-  reg.counter("rbc_sessions_shed_infeasible_total",
-              "Rejected as deadline-infeasible at submit",
-              static_cast<double>(s.shed_infeasible));
-  reg.counter("rbc_sessions_completed_total", "Sessions fully processed",
-              static_cast<double>(s.completed));
-  reg.counter("rbc_sessions_authenticated_total", "Sessions authenticated",
-              static_cast<double>(s.authenticated));
-  reg.counter("rbc_sessions_timed_out_total", "Sessions past threshold T",
-              static_cast<double>(s.timed_out));
-  reg.counter("rbc_sessions_cancelled_total", "Sessions cancelled in queue",
-              static_cast<double>(s.cancelled));
-  reg.counter("rbc_sessions_transport_failed_total",
-              "Sessions that exhausted their retransmit budget",
-              static_cast<double>(s.transport_failed));
-  // Link / fault-injection counters (net::LinkStats rollup).
-  reg.counter("rbc_link_retransmits_total", "ARQ retransmissions",
-              static_cast<double>(s.retransmits));
-  reg.counter("rbc_link_timeouts_total", "ARQ response timeouts",
-              static_cast<double>(s.link_timeouts));
-  reg.counter("rbc_link_frames_dropped_total", "Frames swallowed in flight",
-              static_cast<double>(s.frames_dropped));
-  reg.counter("rbc_link_frames_corrupted_total", "Frames bit-flipped",
-              static_cast<double>(s.frames_corrupted));
-  reg.counter("rbc_link_frames_duplicated_total", "Duplicate frame copies",
-              static_cast<double>(s.frames_duplicated));
-  reg.counter("rbc_link_frames_reordered_total", "Frames reordered",
-              static_cast<double>(s.frames_reordered));
-  reg.counter("rbc_link_frames_stalled_total", "Frames stalled",
-              static_cast<double>(s.frames_stalled));
-  // Search-order telemetry.
-  reg.counter("rbc_ranked_sessions_total",
-              "Authenticated sessions with rank data",
-              static_cast<double>(s.ranked_sessions));
+  for (const CounterRow& row : kServerCounters) {
+    if (row.name != nullptr)
+      reg.counter(row.name, row.help, static_cast<double>(s.*row.field));
+  }
+  // Derived means and point-in-time gauges, aggregate and per-shard.
   reg.gauge("rbc_mean_hit_rank", "Mean seeds hashed at the hit",
             s.mean_hit_rank);
   reg.gauge("rbc_mean_canonical_rank",
             "Mean canonical-order rank of the hit", s.mean_canonical_rank);
-  // Observability subsystem self-accounting.
-  reg.counter("rbc_trace_events_recorded_total", "Trace records published",
-              static_cast<double>(s.trace_events_recorded));
-  reg.counter("rbc_trace_events_dropped_total",
-              "Trace records overwritten by ring wrap",
-              static_cast<double>(s.trace_events_dropped));
-  reg.counter("rbc_flight_records_total", "Failures flight-recorded",
-              static_cast<double>(s.flight_records));
-  // Point-in-time gauges, aggregate and per-shard.
   reg.gauge("rbc_shards", "Serving shards", static_cast<double>(s.shards));
   reg.gauge("rbc_queue_depth", "Sessions admitted, not yet picked up",
             static_cast<double>(s.queue_depth));

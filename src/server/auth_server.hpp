@@ -18,6 +18,7 @@
 
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,15 +53,14 @@ class AuthServer {
   /// uniform budget every deadline is admission + constant and EDF
   /// degenerates to FIFO; a tight-budget session submitted here overtakes
   /// slack ones already queued on its shard.
-  std::future<SessionOutcome> submit(Client* client, double budget_s);
-
-  /// Same, additionally pinning the session's fault-stream salt. Chaos
-  /// harnesses use this so a run's fault schedule is a pure function of
+  ///
+  /// `net_salt` pins the session's fault-stream salt. Chaos harnesses use
+  /// it so a run's fault schedule is a pure function of
   /// (cfg.fault_seed, net_salt) — independent of shard count, routing and
   /// admission order — and any failure replays from the salt logged in its
   /// SessionOutcome.
   std::future<SessionOutcome> submit(Client* client, double budget_s,
-                                     u64 net_salt);
+                                     std::optional<u64> net_salt = {});
 
   /// Consistent aggregate snapshot across all shard stripes. Safe at ANY
   /// lifecycle point — before the first session, mid-chaos, after

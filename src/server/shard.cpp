@@ -49,29 +49,14 @@ Shard::Shard(const ServerConfig& cfg, int index, int num_shards,
 
 Shard::~Shard() { shutdown(); }
 
-std::future<SessionOutcome> Shard::submit(Client* client, double budget_s) {
-  RBC_CHECK(client != nullptr);
-  // Default salt: device id mixed with this shard's admission sequence.
-  // Deterministic for sequential submitters; chaos harnesses that need
-  // routing-independent replay pass an explicit salt instead.
-  u64 seq_now;
-  {
-    std::lock_guard lock(mutex_);
-    seq_now = next_seq_;
-  }
-  return submit(client, budget_s,
-                mix_device_id(client->config().device_id) ^ seq_now);
-}
-
 std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
-                                          u64 net_salt) {
+                                          std::optional<u64> net_salt) {
   RBC_CHECK(client != nullptr);
   RBC_CHECK_MSG(budget_s > 0.0, "session budget must be positive");
 
   SessionOutcome rejection;
   rejection.device_id = client->config().device_id;
   rejection.accepted = false;
-  rejection.net_salt = net_salt;
 
   // Feasibility shed: the deadline clock starts NOW; if the budget cannot
   // even cover the modeled communication floor (4 messages + the PUF read,
@@ -84,30 +69,35 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
                client->config().puf_read_time_s;
   }
 
-  auto session = std::make_unique<Session>(client, budget_s, 0, net_salt);
+  auto session = std::make_unique<Session>(client, budget_s);
   std::future<SessionOutcome> future = session->promise.get_future();
 
   {
     std::lock_guard lock(mutex_);
     std::lock_guard stats_lock(stats_mutex_);
-    ++submitted_;
+    // Default salt: the device id mixed with this shard's submission count,
+    // which advances on refusals too, so a refused session never shares its
+    // salt (and trace timeline) with the next one.
+    session->net_salt = rejection.net_salt = net_salt.value_or(
+        mix_device_id(rejection.device_id) ^ counters_.submitted);
+    ++counters_.submitted;
     RejectReason reason = RejectReason::kNone;
     if (shutdown_) {
       reason = RejectReason::kShutdown;
     } else if (session->ctx.remaining_s() < floor_s) {
       reason = RejectReason::kInfeasible;
-      ++shed_infeasible_;
+      ++counters_.shed_infeasible;
     } else if (queue_.size() >= static_cast<std::size_t>(queue_depth_)) {
       // Backpressure: shed at admission, before any search cycles burn.
       reason = RejectReason::kQueueFull;
     }
     if (reason != RejectReason::kNone) {
-      ++rejected_;
+      ++counters_.rejected;
       rejection.reject_reason = reason;
       // Admission event even for refusals: a shed session's only trace IS
       // this record (detail = RejectReason, value = queue depth at refusal).
       if (ring_) {
-        obs::SessionTrace(ring_.get(), net_salt, rejection.device_id,
+        obs::SessionTrace(ring_.get(), rejection.net_salt, rejection.device_id,
                           static_cast<u32>(index_))
             .event(obs::SpanKind::kAdmission, static_cast<u32>(reason),
                    queue_.size());
@@ -117,7 +107,7 @@ std::future<SessionOutcome> Shard::submit(Client* client, double budget_s,
     }
     session->seq = next_seq_++;
     if (ring_) {
-      obs::SessionTrace(ring_.get(), net_salt, rejection.device_id,
+      obs::SessionTrace(ring_.get(), session->net_salt, rejection.device_id,
                         static_cast<u32>(index_))
           .event(obs::SpanKind::kAdmission,
                  static_cast<u32>(RejectReason::kNone), queue_.size());
@@ -265,15 +255,7 @@ void Shard::maybe_flight_record(const Session& session,
   record.net_salt = outcome.net_salt;
   record.fault_seed = cfg_.fault_seed;
   record.shard = static_cast<u32>(index_);
-  if (outcome.transport_failed) {
-    record.reason = "transport_failure";
-  } else if (outcome.timed_out) {
-    record.reason = "deadline_expired";
-  } else if (outcome.cancelled) {
-    record.reason = "cancelled";
-  } else {
-    record.reason = "auth_failed";
-  }
+  record.reason = obs::verdict_name(verdict_of(outcome));
   record.session_budget_s = session.budget_s;
   record.queue_wait_s = outcome.queue_wait_s;
   record.session_s = outcome.session_s;
@@ -285,27 +267,28 @@ void Shard::maybe_flight_record(const Session& session,
 }
 
 void Shard::record_outcome(const SessionOutcome& outcome, bool on_driver) {
+  const net::LinkStats& link = outcome.report.link;
   std::lock_guard lock(stats_mutex_);
   if (on_driver) --in_flight_;
-  ++completed_;
+  ++counters_.completed;
   if (outcome.authenticated) {
-    ++authenticated_;
+    ++counters_.authenticated;
     // Rank telemetry: where the hit actually landed (seeds hashed this
     // session) versus where canonical enumeration would have placed it.
-    ++ranked_sessions_;
-    hit_rank_sum_ += outcome.report.engine.result.seeds_hashed;
-    canonical_rank_sum_ += outcome.report.engine.result.canonical_rank;
+    ++counters_.ranked_sessions;
+    counters_.hit_rank_sum += outcome.report.engine.result.seeds_hashed;
+    counters_.canonical_rank_sum += outcome.report.engine.result.canonical_rank;
   }
-  if (outcome.timed_out) ++timed_out_;
-  if (outcome.cancelled) ++cancelled_;
-  if (outcome.transport_failed) ++transport_failed_;
-  retransmits_ += outcome.report.link.retransmits;
-  frames_dropped_ += outcome.report.link.dropped;
-  frames_corrupted_ += outcome.report.link.corrupted;
-  frames_duplicated_ += outcome.report.link.duplicated;
-  frames_reordered_ += outcome.report.link.reordered;
-  frames_stalled_ += outcome.report.link.stalled;
-  link_timeouts_ += outcome.report.link.timeouts;
+  if (outcome.timed_out) ++counters_.timed_out;
+  if (outcome.cancelled) ++counters_.cancelled;
+  if (outcome.transport_failed) ++counters_.transport_failed;
+  counters_.retransmits += link.retransmits;
+  counters_.link_timeouts += link.timeouts;
+  counters_.frames_dropped += link.dropped;
+  counters_.frames_corrupted += link.corrupted;
+  counters_.frames_duplicated += link.duplicated;
+  counters_.frames_reordered += link.reordered;
+  counters_.frames_stalled += link.stalled;
   session_time_sum_ += outcome.session_s;
   session_times_.add(outcome.session_s);
 }
@@ -318,25 +301,8 @@ Shard::StatsSlice Shard::stats_slice() const {
   }
   {
     std::lock_guard lock(stats_mutex_);
-    slice.submitted = submitted_;
-    slice.rejected = rejected_;
-    slice.shed_infeasible = shed_infeasible_;
-    slice.completed = completed_;
-    slice.authenticated = authenticated_;
-    slice.timed_out = timed_out_;
-    slice.cancelled = cancelled_;
-    slice.transport_failed = transport_failed_;
-    slice.retransmits = retransmits_;
-    slice.frames_dropped = frames_dropped_;
-    slice.frames_corrupted = frames_corrupted_;
-    slice.frames_duplicated = frames_duplicated_;
-    slice.frames_reordered = frames_reordered_;
-    slice.frames_stalled = frames_stalled_;
-    slice.link_timeouts = link_timeouts_;
+    slice.counters = counters_;
     slice.in_flight = in_flight_;
-    slice.ranked_sessions = ranked_sessions_;
-    slice.hit_rank_sum = hit_rank_sum_;
-    slice.canonical_rank_sum = canonical_rank_sum_;
     slice.session_time_sum = session_time_sum_;
     slice.session_times = session_times_;
   }
@@ -344,9 +310,9 @@ Shard::StatsSlice Shard::stats_slice() const {
     std::lock_guard lock(devices_mutex_);
     slice.device_states = devices_.size();
   }
-  if (ring_) {
-    slice.trace_events_recorded = ring_->recorded();
-    slice.trace_events_dropped = ring_->dropped();
+  if (ring_) {  // the ring keeps its own publication counts
+    slice.counters.trace_events_recorded = ring_->recorded();
+    slice.counters.trace_events_dropped = ring_->dropped();
   }
   return slice;
 }

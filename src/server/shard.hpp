@@ -29,6 +29,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "obs/trace.hpp"
 #include "parallel/search_context.hpp"
 #include "rbc/protocol.hpp"
+#include "server/counters.hpp"
 
 namespace rbc::server {
 
@@ -144,29 +146,15 @@ struct SessionOutcome {
   SessionReport report;        // full Table-5 decomposition (when run)
 };
 
-/// Point-in-time operational snapshot, aggregated across shards.
+/// Point-in-time operational snapshot, aggregated across shards: the summed
+/// counters (server/counters.hpp) plus gauges and derived means.
 ///
 /// Counter invariant at quiescence (no queued or in-flight sessions):
 ///   submitted == rejected + completed
 /// with shed_infeasible <= rejected and cancelled + timed_out counted
 /// inside completed. Percentiles are reservoir estimates (bounded memory;
 /// see ReservoirSample for the approximation bound); the mean is exact.
-struct ServerStats {
-  u64 submitted = 0;
-  u64 rejected = 0;         // shed at admission (all reasons)
-  u64 shed_infeasible = 0;  // ...of which: deadline-infeasible at submit
-  u64 completed = 0;        // sessions fully processed (any verdict)
-  u64 authenticated = 0;
-  u64 timed_out = 0;
-  u64 cancelled = 0;        // cancelled in queue by shutdown
-  u64 transport_failed = 0;  // completed, but retransmits exhausted
-  u64 retransmits = 0;       // ARQ retransmissions across all sessions
-  u64 frames_dropped = 0;    // frames the fault plans swallowed
-  u64 frames_corrupted = 0;  // frames bit-flipped in flight
-  u64 frames_duplicated = 0; // extra copies the fault plans delivered
-  u64 frames_reordered = 0;  // frames that overtook queued ones
-  u64 frames_stalled = 0;    // frames that drew an extra stall
-  u64 link_timeouts = 0;     // ARQ response timeouts charged
+struct ServerStats : ServerCounters {
   int queue_depth = 0;      // sessions admitted, not yet picked up
   int in_flight = 0;        // sessions currently on a driver
   int shards = 1;
@@ -179,15 +167,8 @@ struct ServerStats {
   /// canonical rank (where the canonical order would have stopped). Under
   /// kCanonical the two coincide; under kReliability their ratio is the
   /// realized expected-case saving.
-  u64 ranked_sessions = 0;     // authenticated sessions with rank data
   double mean_hit_rank = 0.0;
   double mean_canonical_rank = 0.0;
-  /// Observability subsystem counters (zero unless cfg.trace_enabled /
-  /// cfg.flight_recorder): ring records published and overwritten across
-  /// the shards' rings, and failures the flight recorder ever captured.
-  u64 trace_events_recorded = 0;
-  u64 trace_events_dropped = 0;
-  u64 flight_records = 0;
 };
 
 class Shard {
@@ -204,39 +185,20 @@ class Shard {
 
   /// Admits one session for `client` (which must route to this shard) with
   /// the given threshold budget. Returns a future; rejected sessions
-  /// resolve immediately. The default fault-stream salt mixes the device id
-  /// with the shard's admission sequence; chaos harnesses pass an explicit
-  /// salt via the 3-arg overload so runs replay independent of routing.
-  std::future<SessionOutcome> submit(Client* client, double budget_s);
+  /// resolve immediately. Without `net_salt` the fault-stream salt mixes the
+  /// device id with the shard's submission count, drawn under the admission
+  /// lock so no two submissions share it; chaos harnesses pass an explicit
+  /// salt so runs replay independent of routing.
   std::future<SessionOutcome> submit(Client* client, double budget_s,
-                                     u64 net_salt);
+                                     std::optional<u64> net_salt = {});
 
   /// One shard's contribution to the aggregate ServerStats.
   struct StatsSlice {
-    u64 submitted = 0;
-    u64 rejected = 0;
-    u64 shed_infeasible = 0;
-    u64 completed = 0;
-    u64 authenticated = 0;
-    u64 timed_out = 0;
-    u64 cancelled = 0;
-    u64 transport_failed = 0;
-    u64 retransmits = 0;
-    u64 frames_dropped = 0;
-    u64 frames_corrupted = 0;
-    u64 frames_duplicated = 0;
-    u64 frames_reordered = 0;
-    u64 frames_stalled = 0;
-    u64 link_timeouts = 0;
-    u64 trace_events_recorded = 0;
-    u64 trace_events_dropped = 0;
+    ServerCounters counters;
     int queue_depth = 0;
     int in_flight = 0;
     std::size_t device_states = 0;
     double session_time_sum = 0.0;
-    u64 ranked_sessions = 0;
-    u64 hit_rank_sum = 0;
-    u64 canonical_rank_sum = 0;
     ReservoirSample session_times{1};  // copy of the shard's reservoir
   };
   StatsSlice stats_slice() const;
@@ -259,11 +221,9 @@ class Shard {
     double budget_s = 0.0;  // the threshold T this session was given
     obs::SessionTrace trace;  // disabled unless the shard armed it
     std::promise<SessionOutcome> promise;
-    Session(Client* c, double budget, u64 sequence, u64 salt)
+    Session(Client* c, double budget)
         : client(c),
           ctx(par::SearchContext::with_budget(budget)),
-          seq(sequence),
-          net_salt(salt),
           budget_s(budget) {}
   };
 
@@ -327,26 +287,9 @@ class Shard {
 
   /// This shard's stats stripe.
   mutable std::mutex stats_mutex_;
-  u64 submitted_ = 0;
-  u64 rejected_ = 0;
-  u64 shed_infeasible_ = 0;
-  u64 completed_ = 0;
-  u64 authenticated_ = 0;
-  u64 timed_out_ = 0;
-  u64 cancelled_ = 0;
-  u64 transport_failed_ = 0;
-  u64 retransmits_ = 0;
-  u64 frames_dropped_ = 0;
-  u64 frames_corrupted_ = 0;
-  u64 frames_duplicated_ = 0;
-  u64 frames_reordered_ = 0;
-  u64 frames_stalled_ = 0;
-  u64 link_timeouts_ = 0;
+  ServerCounters counters_;
   int in_flight_ = 0;
   double session_time_sum_ = 0.0;
-  u64 ranked_sessions_ = 0;
-  u64 hit_rank_sum_ = 0;
-  u64 canonical_rank_sum_ = 0;
   ReservoirSample session_times_;
 };
 

@@ -25,8 +25,10 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -489,6 +491,39 @@ TEST(ObsTrace, RejectedSubmissionLeavesAdmissionRecord) {
   EXPECT_TRUE(saw_reject);
 }
 
+TEST(ObsTrace, RefusedSubmitDoesNotShareSaltWithNextSession) {
+  // The default fault-stream salt must advance on EVERY submission, refused
+  // ones included: a refusal and the device's next admitted session sharing
+  // one salt would merge their timelines (and the admitted session's flight
+  // record would carry the refusal's admission event).
+  ObsFixture f(1);
+  ServerConfig cfg = quiet_config(1);
+  cfg.trace_enabled = true;
+  cfg.min_search_time_s = 1.0;
+  AuthServer server(cfg, f.ca.get(), &f.ra);
+
+  auto refused_client = f.make_client(0, 1, 0x5A1);
+  const SessionOutcome refused =
+      server.submit(refused_client.get(), /*budget_s=*/0.5).get();
+  ASSERT_FALSE(refused.accepted);
+  ASSERT_EQ(refused.reject_reason, RejectReason::kInfeasible);
+
+  auto client = f.make_client(0, 1, 0x5A2);
+  const SessionOutcome admitted =
+      server.submit(client.get(), /*budget_s=*/600.0).get();
+  ASSERT_TRUE(admitted.accepted);
+  EXPECT_NE(admitted.net_salt, refused.net_salt);
+
+  u64 admissions = 0;
+  for (const obs::TraceEvent& e : server.trace_events()) {
+    if (e.session == admitted.net_salt && e.kind == obs::SpanKind::kAdmission) {
+      ++admissions;
+      EXPECT_EQ(e.detail, static_cast<u32>(RejectReason::kNone));
+    }
+  }
+  EXPECT_EQ(admissions, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // ObsFlightRecorder: failures keep their black box and replay from it.
 
@@ -553,6 +588,32 @@ TEST(ObsFlightRecorder, CapturesTransportFailureAndReplaysFromSalt) {
   EXPECT_NE(dump.find("transport_failure"), std::string::npos);
   EXPECT_NE(dump.find("net_salt"), std::string::npos);
   EXPECT_NE(dump.find("ab5a17"), std::string::npos);  // the replay key, hex
+
+  // The other failure classes are filed under their own reasons: a search
+  // cut off by its threshold T, and a reading outside the ball.
+  struct Failure {
+    int max_distance;
+    int injected_distance;
+    double budget_s;
+    const char* reason;
+  };
+  for (const Failure& c : {Failure{4, 4, 0.05, "deadline_expired"},
+                           Failure{1, 3, 600.0, "auth_failed"}}) {
+    ObsFixture g(1, c.max_distance);
+    ServerConfig quiet = quiet_config(1);
+    quiet.flight_recorder = true;
+    AuthServer failing(quiet, g.ca.get(), &g.ra);
+    auto failing_client = g.make_client(0, c.injected_distance, 0x1CF);
+    const SessionOutcome failed =
+        failing.submit(failing_client.get(), c.budget_s, salt).get();
+    ASSERT_TRUE(failed.accepted) << c.reason;
+    EXPECT_FALSE(failed.authenticated) << c.reason;
+    const std::vector<obs::FlightRecord> filed =
+        failing.flight_recorder()->records();
+    ASSERT_EQ(filed.size(), 1u) << c.reason;
+    EXPECT_EQ(filed[0].reason, c.reason);
+    EXPECT_EQ(filed[0].net_salt, salt);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -630,6 +691,166 @@ TEST(ObsMetrics, ServerExportMatchesStats) {
   EXPECT_NE(json.find("\"rbc_sessions_submitted_total\": 8"),
             std::string::npos);
   EXPECT_NE(json.find("\"rbc_shards\": 2"), std::string::npos);
+}
+
+TEST(ObsMetrics, ServerExportFamiliesGolden) {
+  // Every family the server exports, pinned literally: its # HELP and
+  // # TYPE lines (as a sorted set, so family order is free) and every
+  // sample's value after a fixed quiet burst. Sessions run one at a time so
+  // the rank and trace counts are fixed by the seeds; only the three
+  // wall-clock session-time gauges vary from run to run.
+  ObsFixture f(4);
+  ServerConfig cfg = quiet_config(2);
+  cfg.trace_enabled = true;
+  cfg.flight_recorder = true;
+  AuthServer server(cfg, f.ca.get(), &f.ra);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(f.make_client(i % 4, 1, 0xE4 + static_cast<u64>(i)));
+    ASSERT_TRUE(server.submit(clients.back().get()).get().authenticated);
+  }
+
+  std::set<std::string> headers;
+  std::map<std::string, std::string> samples;
+  std::istringstream prom(
+      server.export_metrics(obs::MetricsFormat::kPrometheus));
+  for (std::string line; std::getline(prom, line);) {
+    if (line.rfind("# ", 0) == 0) {
+      EXPECT_TRUE(headers.insert(line).second) << "repeated: " << line;
+    } else {
+      const std::size_t space = line.rfind(' ');
+      ASSERT_NE(space, std::string::npos) << line;
+      EXPECT_TRUE(
+          samples.emplace(line.substr(0, space), line.substr(space + 1)).second)
+          << "repeated: " << line;
+    }
+  }
+
+  const std::set<std::string> kHeaders = {
+      "# HELP rbc_device_states Retained per-device lock states",
+      "# HELP rbc_flight_records_total Failures flight-recorded",
+      "# HELP rbc_in_flight Sessions currently on a driver",
+      "# HELP rbc_link_frames_corrupted_total Frames bit-flipped",
+      "# HELP rbc_link_frames_dropped_total Frames swallowed in flight",
+      "# HELP rbc_link_frames_duplicated_total Duplicate frame copies",
+      "# HELP rbc_link_frames_reordered_total Frames reordered",
+      "# HELP rbc_link_frames_stalled_total Frames stalled",
+      "# HELP rbc_link_retransmits_total ARQ retransmissions",
+      "# HELP rbc_link_timeouts_total ARQ response timeouts",
+      "# HELP rbc_mean_canonical_rank Mean canonical-order rank of the hit",
+      "# HELP rbc_mean_hit_rank Mean seeds hashed at the hit",
+      "# HELP rbc_queue_depth Sessions admitted, not yet picked up",
+      "# HELP rbc_ranked_sessions_total Authenticated sessions with rank data",
+      "# HELP rbc_session_time_seconds_mean Mean session time (exact)",
+      "# HELP rbc_session_time_seconds_p50 Median session time (reservoir "
+      "estimate)",
+      "# HELP rbc_session_time_seconds_p95 p95 session time (reservoir "
+      "estimate)",
+      "# HELP rbc_sessions_authenticated_total Sessions authenticated",
+      "# HELP rbc_sessions_cancelled_total Sessions cancelled in queue",
+      "# HELP rbc_sessions_completed_total Sessions fully processed",
+      "# HELP rbc_sessions_rejected_total Sessions shed at admission",
+      "# HELP rbc_sessions_shed_infeasible_total Rejected as "
+      "deadline-infeasible at submit",
+      "# HELP rbc_sessions_submitted_total Sessions submitted",
+      "# HELP rbc_sessions_timed_out_total Sessions past threshold T",
+      "# HELP rbc_sessions_transport_failed_total Sessions that exhausted "
+      "their retransmit budget",
+      "# HELP rbc_shard_in_flight Per-shard sessions on a driver",
+      "# HELP rbc_shard_queue_depth Per-shard admission queue depth",
+      "# HELP rbc_shards Serving shards",
+      "# HELP rbc_trace_events_dropped_total Trace records overwritten by "
+      "ring wrap",
+      "# HELP rbc_trace_events_recorded_total Trace records published",
+      "# TYPE rbc_device_states gauge",
+      "# TYPE rbc_flight_records_total counter",
+      "# TYPE rbc_in_flight gauge",
+      "# TYPE rbc_link_frames_corrupted_total counter",
+      "# TYPE rbc_link_frames_dropped_total counter",
+      "# TYPE rbc_link_frames_duplicated_total counter",
+      "# TYPE rbc_link_frames_reordered_total counter",
+      "# TYPE rbc_link_frames_stalled_total counter",
+      "# TYPE rbc_link_retransmits_total counter",
+      "# TYPE rbc_link_timeouts_total counter",
+      "# TYPE rbc_mean_canonical_rank gauge",
+      "# TYPE rbc_mean_hit_rank gauge",
+      "# TYPE rbc_queue_depth gauge",
+      "# TYPE rbc_ranked_sessions_total counter",
+      "# TYPE rbc_session_time_seconds_mean gauge",
+      "# TYPE rbc_session_time_seconds_p50 gauge",
+      "# TYPE rbc_session_time_seconds_p95 gauge",
+      "# TYPE rbc_sessions_authenticated_total counter",
+      "# TYPE rbc_sessions_cancelled_total counter",
+      "# TYPE rbc_sessions_completed_total counter",
+      "# TYPE rbc_sessions_rejected_total counter",
+      "# TYPE rbc_sessions_shed_infeasible_total counter",
+      "# TYPE rbc_sessions_submitted_total counter",
+      "# TYPE rbc_sessions_timed_out_total counter",
+      "# TYPE rbc_sessions_transport_failed_total counter",
+      "# TYPE rbc_shard_in_flight gauge",
+      "# TYPE rbc_shard_queue_depth gauge",
+      "# TYPE rbc_shards gauge",
+      "# TYPE rbc_trace_events_dropped_total counter",
+      "# TYPE rbc_trace_events_recorded_total counter",
+  };
+  EXPECT_EQ(headers, kHeaders);
+
+  for (const char* wall_clock :
+       {"rbc_session_time_seconds_mean", "rbc_session_time_seconds_p50",
+        "rbc_session_time_seconds_p95"}) {
+    ASSERT_EQ(samples.count(wall_clock), 1u) << wall_clock;
+    EXPECT_GT(std::stod(samples[wall_clock]), 0.0) << wall_clock;
+    samples.erase(wall_clock);
+  }
+  const std::map<std::string, std::string> kSamples = {
+      {"rbc_device_states", "4"},
+      {"rbc_flight_records_total", "0"},
+      {"rbc_in_flight", "0"},
+      {"rbc_link_frames_corrupted_total", "0"},
+      {"rbc_link_frames_dropped_total", "0"},
+      {"rbc_link_frames_duplicated_total", "0"},
+      {"rbc_link_frames_reordered_total", "0"},
+      {"rbc_link_frames_stalled_total", "0"},
+      {"rbc_link_retransmits_total", "0"},
+      {"rbc_link_timeouts_total", "0"},
+      {"rbc_mean_canonical_rank", "185.625"},
+      {"rbc_mean_hit_rank", "186.625"},
+      {"rbc_queue_depth", "0"},
+      {"rbc_ranked_sessions_total", "8"},
+      {"rbc_sessions_authenticated_total", "8"},
+      {"rbc_sessions_cancelled_total", "0"},
+      {"rbc_sessions_completed_total", "8"},
+      {"rbc_sessions_rejected_total", "0"},
+      {"rbc_sessions_shed_infeasible_total", "0"},
+      {"rbc_sessions_submitted_total", "8"},
+      {"rbc_sessions_timed_out_total", "0"},
+      {"rbc_sessions_transport_failed_total", "0"},
+      {"rbc_shard_in_flight{shard=\"0\"}", "0"},
+      {"rbc_shard_in_flight{shard=\"1\"}", "0"},
+      {"rbc_shard_queue_depth{shard=\"0\"}", "0"},
+      {"rbc_shard_queue_depth{shard=\"1\"}", "0"},
+      {"rbc_shards", "2"},
+      {"rbc_trace_events_dropped_total", "0"},
+      {"rbc_trace_events_recorded_total", "32"},
+  };
+  EXPECT_EQ(samples, kSamples);
+
+  // The JSON rendering carries the same unlabeled values.
+  std::map<std::string, std::string> json_samples;
+  std::istringstream json(server.export_metrics(obs::MetricsFormat::kJson));
+  for (std::string line; std::getline(json, line);) {
+    const std::size_t open = line.find('"');
+    const std::size_t sep = line.find("\": ");
+    if (sep == std::string::npos || line.find('{') != std::string::npos)
+      continue;
+    std::string value = line.substr(sep + 3);
+    if (!value.empty() && value.back() == ',') value.pop_back();
+    json_samples.emplace(line.substr(open + 1, sep - open - 1), value);
+  }
+  for (const auto& [series, value] : kSamples) {
+    if (series.find('{') != std::string::npos) continue;
+    EXPECT_EQ(json_samples[series], value) << series;
+  }
 }
 
 // ---------------------------------------------------------------------------
