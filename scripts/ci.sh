@@ -17,8 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "=== [1/14] configure + build (default) ==="
-cmake --preset default >/dev/null
+echo "=== [1/14] configure + build (default, warnings as errors) ==="
+cmake --preset default -DRBC_WERROR=ON >/dev/null
 cmake --build --preset default -j "$JOBS"
 
 echo "=== [2/14] ctest (default) ==="
@@ -145,11 +145,13 @@ echo "=== [13/14] ctest (tsan: concurrency suites) ==="
 # OrderedSearch/OrderedServer run the reliability-ordered stream through
 # multi-threaded searches and a full server burst; ShellCacheLru hammers the shared shell-mask cache;
 # Obs* covers the lock-free trace ring under concurrent writers/snapshots,
-# mid-traffic metrics export, and the shell-cache counter churn case.
+# mid-traffic metrics export, and the shell-cache counter churn case;
+# ChasePlanRegistry races concurrent searches on a cold shell plan whose
+# builder aborts its walk.
 # (ctest registers gtest CASE names, so the filter matches suite prefixes.)
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -j "$JOBS" \
-  -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|OrderedSearch|OrderedServer|ShellCacheLru|Obs'
+  -R 'WorkerGroup|SearchContext|ServerStress|ShardStress|ChaosProtocol|ChaosServer|EnrollmentDatabaseConcurrency|RbcSearch|Backend|Protocol|LaunchKernel|SaltedKernel|DistSearch|Communicator|HashBatch|TileScheduler|TileSchedulerStress|ScheduleEquivalence|HeteroCoSearch|SeekEquivalence|ShellTiler|OrderedSearch|OrderedServer|ShellCacheLru|Obs|ChasePlanRegistry'
 
 echo "=== [14/14] configure + build + ctest (ASan+UBSan: input and serving suites) ==="
 # AddressSanitizer + UndefinedBehaviorSanitizer over the code that parses

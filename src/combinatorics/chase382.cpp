@@ -1,7 +1,12 @@
 #include "combinatorics/chase382.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 namespace rbc::comb {
 
@@ -77,21 +82,6 @@ bool ChaseSequence::advance() noexcept {
   return true;
 }
 
-std::vector<ChaseState> make_chase_snapshots(int k, int num_states,
-                                             int n_bits) {
-  RBC_CHECK(num_states >= 1);
-  const u128 total128 = binomial128(n_bits, k);
-  RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
-                "chase snapshot walk too large");
-  const u64 total = static_cast<u64>(total128);
-  const u64 interval = (total + static_cast<u64>(num_states) - 1) /
-                       static_cast<u64>(num_states);
-  std::vector<ChaseState> snapshots;
-  make_chase_snapshots_strided(k, std::max<u64>(interval, 1), snapshots,
-                               n_bits);
-  return snapshots;
-}
-
 bool make_chase_snapshots_strided(int k, u64 stride,
                                   std::vector<ChaseState>& out, int n_bits,
                                   const std::function<bool()>& abort) {
@@ -100,81 +90,114 @@ bool make_chase_snapshots_strided(int k, u64 stride,
   RBC_CHECK_MSG(total128 <= std::numeric_limits<u64>::max(),
                 "chase snapshot walk too large");
   const u64 total = static_cast<u64>(total128);
+  const u64 last = (total - 1) / stride * stride;  // the last snapshot's step
 
   out.clear();
-  out.reserve(total == 0 ? 0 : static_cast<std::size_t>((total - 1) / stride + 1));
+  out.reserve(static_cast<std::size_t>(last / stride + 1));
   // Abort cadence: one predicate call per 16 Ki twiddle steps keeps the
   // check off the per-step fast path while bounding the walk's stop latency.
   constexpr u64 kAbortMask = 0x3fff;
   ChaseSequence seq(k, n_bits);
-  for (u64 step = 0; step < total; ++step) {
+  u64 next_snapshot = 0;
+  for (u64 step = 0;; ++step) {
     if (abort && (step & kAbortMask) == 0 && abort()) {
       out.clear();
       return false;
     }
-    if (step % stride == 0) out.push_back(seq.state());
-    if (step + 1 < total) {
-      const bool ok = seq.advance();
-      RBC_CHECK_MSG(ok, "chase sequence ended early");
+    if (step == next_snapshot) {
+      out.push_back(seq.state());
+      if (step == last) return true;
+      next_snapshot += stride;
     }
+    const bool ok = seq.advance();
+    RBC_CHECK_MSG(ok, "chase sequence ended early");
   }
-  return true;
+}
+
+namespace {
+
+struct Registry {
+  struct Entry {
+    std::shared_ptr<const ChaseShellPlan> plan;
+    bool walking = false;
+    ChasePlanRegistry::Walks walks;
+  };
+  std::mutex mutex;
+  std::condition_variable walked;
+  std::map<std::tuple<int, int, u64>, Entry> entries;  // (n_bits, k, stride)
+};
+
+// Leaked on purpose: plans stay valid for detached workers at process exit.
+Registry& registry() {
+  static Registry* reg = new Registry();
+  return *reg;
+}
+
+}  // namespace
+
+std::shared_ptr<const ChaseShellPlan> ChasePlanRegistry::get(
+    int k, u64 stride, int n_bits, const std::function<bool()>& abort) {
+  Registry& reg = registry();
+  std::unique_lock lock(reg.mutex);
+  Registry::Entry& entry = reg.entries[{n_bits, k, stride}];
+  while (entry.plan == nullptr) {
+    // Wait out another caller's walk; the tick bounds how long a stopped
+    // waiter lingers.
+    reg.walked.wait_for(lock, std::chrono::milliseconds(2),
+                        [&entry] { return !entry.walking; });
+    if (entry.plan != nullptr) break;
+    // The caller's own stop conditions, polled outside the lock on every
+    // tick and before it would start a walk.
+    lock.unlock();
+    const bool stop = abort && abort();
+    lock.lock();
+    if (stop) return nullptr;
+    if (entry.plan != nullptr || entry.walking) continue;
+
+    entry.walking = true;
+    ++entry.walks.started;
+    lock.unlock();
+    auto built = std::make_shared<ChaseShellPlan>();
+    built->total_ = static_cast<u64>(binomial128(n_bits, k));
+    built->stride_ = stride;
+    built->n_bits_ = n_bits;
+    const bool done =
+        make_chase_snapshots_strided(k, stride, built->snapshots_, n_bits,
+                                     abort);
+    lock.lock();
+    entry.walking = false;
+    entry.walks.aborted += done ? 0 : 1;
+    if (done) entry.plan = std::move(built);
+    reg.walked.notify_all();
+    return entry.plan;
+  }
+  return entry.plan;
+}
+
+ChasePlanRegistry::Walks ChasePlanRegistry::walks(int k, u64 stride,
+                                                  int n_bits) {
+  Registry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  const auto it = reg.entries.find({n_bits, k, stride});
+  return it == reg.entries.end() ? Walks{} : it->second.walks;
 }
 
 void ChaseFactory::prepare(int k, int num_threads) {
-  k_ = k;
+  RBC_CHECK(num_threads >= 1);
+  const u128 total = binomial128(n_bits_, k);
+  const auto p = static_cast<u128>(num_threads);
   p_ = num_threads;
-  const auto key = std::make_pair(k, num_threads);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    auto plan = std::make_unique<Plan>();
-    plan->total = binomial128(n_bits_, k);
-    plan->snapshots = make_chase_snapshots(k, num_threads, n_bits_);
-    it = cache_.emplace(key, std::move(plan)).first;
-  }
-  active_ = it->second.get();
-}
-
-std::shared_ptr<const ChaseShellPlan> ChaseFactory::plan(
-    int k, u64 stride, const std::function<bool()>& abort) {
-  const auto key = std::make_pair(k, stride);
-  {
-    std::lock_guard lock(plan_mutex_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) return it->second;
-  }
-  // Walk outside the lock: a plan for another shell must not wait behind
-  // this one's O(C(n, k)) snapshot walk. The search layer already ensures a
-  // single preparer per (k, stride), so duplicate walks are not a concern;
-  // if two do race, the first insert wins.
-  auto built = std::make_shared<ChaseShellPlan>();
-  built->total_ = static_cast<u64>(binomial128(n_bits_, k));
-  built->stride_ = stride;
-  built->n_bits_ = n_bits_;
-  if (!make_chase_snapshots_strided(k, stride, built->snapshots_, n_bits_,
-                                    abort)) {
-    return nullptr;  // aborted; not cached so a later session can retry
-  }
-  std::lock_guard lock(plan_mutex_);
-  auto [it, inserted] = plan_cache_.emplace(key, std::move(built));
-  return it->second;
+  active_ = plan(k, static_cast<u64>((total + p - 1) / p));
 }
 
 ChaseIterator ChaseFactory::make(int r) const {
   RBC_CHECK_MSG(active_ != nullptr, "ChaseFactory::prepare not called");
   RBC_CHECK(r >= 0 && r < p_);
-  const auto& snaps = active_->snapshots;
-  if (static_cast<std::size_t>(r) >= snaps.size()) {
-    // More threads than combinations: hand out an empty iterator.
-    return ChaseIterator(ChaseState{}, 0, n_bits_);
-  }
-  const u64 total = static_cast<u64>(active_->total);
-  const u64 start = snaps[static_cast<std::size_t>(r)].step_index;
-  const u64 end = (static_cast<std::size_t>(r) + 1 < snaps.size())
-                      ? snaps[static_cast<std::size_t>(r) + 1].step_index
-                      : total;
-  return ChaseIterator(snaps[static_cast<std::size_t>(r)], end - start,
-                       n_bits_);
+  const auto t = static_cast<u64>(r);
+  // More units than combinations: the units past the last tile get an
+  // empty iterator.
+  if (t >= active_->tiles()) return ChaseIterator(ChaseState{}, 0, n_bits_);
+  return active_->make_tile(t);
 }
 
 }  // namespace rbc::comb

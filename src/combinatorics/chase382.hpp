@@ -6,10 +6,11 @@
 // depends on the previous state), which §3.2.1 solves by *state
 // snapshotting*: the sequence is walked once, saving the generator state at
 // regular intervals; each of the p threads then resumes from its snapshot and
-// walks its slice independently. Snapshots depend only on (n, k, p) — not on
-// the client — so they are computed once, cached, and reused for every
-// authentication (the paper excludes this one-time cost from its timings; we
-// do the same and expose it separately).
+// walks its slice independently. Snapshots depend only on (n, k, stride) —
+// not on the client — so ChasePlanRegistry walks each shell once per process,
+// on first use, and every later authentication reuses the plan (the paper
+// excludes this one-time cost from its timings; bench_cpu_scaling reports it
+// as its own row).
 //
 // The implementation is the classic iterative "twiddle" formulation of
 // Chase's algorithm: a control array p[0..n+1] drives each transition, and
@@ -18,9 +19,7 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -61,18 +60,13 @@ class ChaseSequence {
   ChaseState state_;
 };
 
-/// Walks the whole sequence once and saves `num_states` evenly spaced
-/// snapshots (snapshot i sits at step i*ceil(total/num_states)). This is the
-/// precomputation §3.2.1 describes; cost is O(C(n_bits, k)).
-std::vector<ChaseState> make_chase_snapshots(int k, int num_states,
-                                             int n_bits = kSeedBits);
-
-/// Strided variant for the tile scheduler: saves a snapshot at every
-/// `stride`-th step (snapshot i at step i*stride), so snapshot boundaries
-/// coincide exactly with tile boundaries. Returns false — leaving `out`
-/// empty — when `abort` (polled at a coarse step cadence) asks the walk to
-/// stop early, which is how a session deadline cuts the one-time
-/// precomputation short.
+/// The §3.2.1 precomputation: walks the sequence once, saving a snapshot at
+/// every `stride`-th step (snapshot i at step i*stride), so snapshot
+/// boundaries coincide exactly with tile boundaries; the walk stops at the
+/// last snapshot. Cost O(C(n_bits, k)). Returns false — leaving `out` empty
+/// — when `abort` (polled at a coarse step cadence) asks the walk to stop
+/// early, which is how a session deadline cuts the one-time precomputation
+/// short.
 bool make_chase_snapshots_strided(int k, u64 stride,
                                   std::vector<ChaseState>& out,
                                   int n_bits = kSeedBits,
@@ -131,17 +125,47 @@ class ChaseShellPlan {
   }
 
  private:
-  friend class ChaseFactory;
+  friend class ChasePlanRegistry;
   std::vector<ChaseState> snapshots_;
   u64 total_ = 0;
   u64 stride_ = 1;
   int n_bits_ = kSeedBits;
 };
 
-/// Factory with a snapshot cache keyed by (k, p). prepare() is cheap after
-/// the first call for a given shell/thread-count pair. plan() keeps its own
-/// cache keyed by (k, stride) and is safe to call from concurrent workers;
-/// prepare()/make() retain the original single-preparer discipline.
+/// Process-wide registry of immutable shell plans keyed by (n_bits, k,
+/// stride). A plan is walked once per process, on first use, and shared
+/// read-only by every search after that. Footprint: one ~556 B ChaseState per
+/// tile, never evicted — d = 3 over 256 bits at the default 4096-seed tiles
+/// is 675 snapshots, about 370 KB.
+///
+/// One caller walks a missing key; other callers of the same key wait on a
+/// short timed wait that polls their own `abort`, so each one's deadline,
+/// cancellation or match still stops it promptly. A walk its builder's
+/// `abort` cuts short is not cached and does not fail the waiters: the next
+/// caller walks the key itself.
+class ChasePlanRegistry {
+ public:
+  /// The plan for (n_bits, k, stride), walking it on first use. Returns
+  /// nullptr when `abort` fired first, during this caller's walk or wait.
+  static std::shared_ptr<const ChaseShellPlan> get(
+      int k, u64 stride, int n_bits = kSeedBits,
+      const std::function<bool()>& abort = {});
+
+  /// Walks of one key since process start: how many began and how many of
+  /// those `abort` cut short.
+  struct Walks {
+    u64 started = 0;
+    u64 aborted = 0;
+  };
+  static Walks walks(int k, u64 stride, int n_bits = kSeedBits);
+};
+
+/// Factory over the registry; it holds no snapshots of its own, so fresh
+/// factories (one per search) share the process's walks. prepare(k, p)
+/// selects the plan at stride ceil(C(n_bits, k) / p) — the §3.2.1
+/// equal-workload partition, slice r = tile r — and make(r) opens slice r,
+/// empty past the last one. prepare()/make() keep the single-preparer
+/// discipline; plan() is safe from any number of threads.
 class ChaseFactory {
  public:
   using iterator = ChaseIterator;
@@ -157,27 +181,17 @@ class ChaseFactory {
 
   ChaseIterator make(int r) const;
 
-  /// Shell plan with a snapshot at every stride boundary. Returns nullptr
-  /// when `abort` stopped the snapshot walk (the plan is then not cached, so
-  /// a later call can retry).
+  /// Registry plan with a snapshot at every stride boundary; nullptr when
+  /// `abort` stopped this caller first.
   std::shared_ptr<const ChaseShellPlan> plan(
-      int k, u64 stride, const std::function<bool()>& abort = {});
+      int k, u64 stride, const std::function<bool()>& abort = {}) const {
+    return ChasePlanRegistry::get(k, stride, n_bits_, abort);
+  }
 
  private:
-  struct Plan {
-    std::vector<ChaseState> snapshots;
-    u128 total = 0;
-  };
-
   int n_bits_;
-  int k_ = 0;
   int p_ = 1;
-  const Plan* active_ = nullptr;
-  std::map<std::pair<int, int>, std::unique_ptr<Plan>> cache_;
-
-  std::mutex plan_mutex_;
-  std::map<std::pair<int, u64>, std::shared_ptr<const ChaseShellPlan>>
-      plan_cache_;
+  std::shared_ptr<const ChaseShellPlan> active_;
 };
 
 }  // namespace rbc::comb

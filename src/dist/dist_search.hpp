@@ -71,9 +71,11 @@ inline Bytes encode_want(int shell) {
 }
 
 inline Bytes encode_found(const Seed256& seed, int shell) {
-  Bytes out{kMsgFound, static_cast<u8>(shell)};
   const auto bytes = seed.to_bytes();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  Bytes out(2 + bytes.size());
+  out[0] = kMsgFound;
+  out[1] = static_cast<u8>(shell);
+  std::memcpy(out.data() + 2, bytes.data(), bytes.size());
   return out;
 }
 

@@ -49,9 +49,8 @@ struct ShellLaunchStats {
 };
 
 /// Searches one Hamming shell with a single kernel launch.
-/// `snapshots` partitions the shell's Chase sequence into tiles (tile t
-/// covers [snapshots[t].step_index, snapshots[t+1].step_index)); the launch
-/// spawns snapshots.size() logical threads rounded up to whole blocks, and
+/// `plan` partitions the shell's Chase sequence into snapshot tiles; the
+/// launch spawns plan.tiles() logical threads rounded up to whole blocks, and
 /// the tiles are handed out dynamically by a work-stealing scheduler rather
 /// than bound one-to-one to threads, so an uneven schedule (or an early
 /// straggler block) cannot leave the tail of the shell on one thread.
@@ -66,10 +65,10 @@ template <hash::SeedHash Hash>
 ShellLaunchStats launch_salted_shell(
     par::WorkerGroup& workers, const Seed256& s_init,
     const typename Hash::digest_type& target, int shell,
-    const std::vector<comb::ChaseState>& snapshots, u64 shell_total,
-    u32 threads_per_block, UnifiedFlag& flag, FoundSlot& slot,
-    par::SearchContext& ctx, const Hash& hash = {}) {
-  const u64 p = snapshots.size();
+    const comb::ChaseShellPlan& plan, u32 threads_per_block,
+    UnifiedFlag& flag, FoundSlot& slot, par::SearchContext& ctx,
+    const Hash& hash = {}) {
+  const u64 p = plan.tiles();
   RBC_CHECK(p >= 1);
   const Dim3 grid = grid_for(p, threads_per_block);
   const Dim3 block{threads_per_block, 1, 1};
@@ -98,13 +97,10 @@ ShellLaunchStats launch_salted_shell(
         sched, static_cast<int>(r),
         [&](const par::TileScheduler::Tile& tile) {
           // Stage this tile's iterator state into the block's shared arena,
-          // then walk [its snapshot's step, the next snapshot's step).
-          const auto t = static_cast<std::size_t>(tile.index);
-          state = snapshots[t];
-          const u64 end =
-              t + 1 < p ? snapshots[t + 1].step_index : shell_total;
+          // then walk the tile from the staged copy.
+          state = plan.snapshot(tile.index);
           return std::optional(
-              comb::ChaseIterator(state, end - state.step_index));
+              comb::ChaseIterator(state, plan.tile_count(tile.index)));
         },
         s_init, target, hash, opts, ctx, slot);
     seeds_hashed.fetch_add(h, std::memory_order_relaxed);
@@ -148,13 +144,17 @@ rbc::SearchResult gpu_emulated_search(
     // The host enforces the deadline between kernel launches; within one,
     // the kernel threads poll the context themselves (above).
     if (ctx.check_deadline()) break;
-    const int p = std::max(1, threads_for_shell(k));
-    const auto snapshots = comb::make_chase_snapshots(k, p);
-    const u64 shell_total =
-        static_cast<u64>(comb::binomial128(comb::kSeedBits, k));
+    const auto p = static_cast<u64>(std::max(1, threads_for_shell(k)));
+    const auto total = static_cast<u64>(comb::binomial128(comb::kSeedBits, k));
+    // p snapshot tiles at stride ceil(total / p), from the process-wide
+    // registry; a deadline that cuts its walk short ends the search.
+    const auto plan = comb::ChasePlanRegistry::get(
+        k, (total + p - 1) / p, comb::kSeedBits,
+        [&ctx] { return ctx.check_deadline(); });
+    if (plan == nullptr) break;
     const auto stats = launch_salted_shell<Hash>(
-        workers, s_init, target, k, snapshots, shell_total, threads_per_block,
-        flag, slot, ctx, hash);
+        workers, s_init, target, k, *plan, threads_per_block, flag, slot, ctx,
+        hash);
     result.seeds_hashed += stats.seeds_hashed;
   }
 
@@ -223,27 +223,19 @@ rbc::SearchResult hetero_cosearch(
                                : comb::ShellTiler::kDefaultTileSeeds;
     comb::ShellTiler tiler(d, tile_seeds);
     comb::ChaseFactory factory;
-    const auto abort_pred = [&ctx, &opts] {
-      return ctx.should_stop(opts.early_exit);
+    const std::function<bool()> abort_pred = [&ctx, &opts] {
+      return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
     };
 
-    // Plans for every shell up front (the snapshot walks are the one-time
-    // cost §3.2.1 excludes from timings; a session deadline can still abort
-    // them mid-walk).
+    // Plans for every shell up front, from the process-wide registry (each
+    // is walked on first use only; the session can still stop a walk).
     std::vector<std::shared_ptr<const comb::ChaseShellPlan>> plans(
         static_cast<std::size_t>(d) + 1);
     bool prepared = true;
-    for (int k = 1; k <= d; ++k) {
-      if (ctx.check_deadline() || ctx.should_stop(opts.early_exit)) {
-        prepared = false;
-        break;
-      }
+    for (int k = 1; k <= d && prepared; ++k) {
       plans[static_cast<std::size_t>(k)] =
           factory.plan(k, tiler.stride(k), abort_pred);
-      if (plans[static_cast<std::size_t>(k)] == nullptr) {
-        prepared = false;
-        break;
-      }
+      prepared = plans[static_cast<std::size_t>(k)] != nullptr;
     }
 
     if (prepared) {

@@ -8,7 +8,14 @@ namespace rbc::hash {
 using detail::kKeccakRho;
 using detail::kKeccakRoundConstants;
 
+namespace {
+thread_local u64 tls_permutations = 0;
+}  // namespace
+
+u64 keccak_permutations() noexcept { return tls_permutations; }
+
 void keccak_f1600(u64 a[25]) noexcept {
+  ++tls_permutations;
   for (int round = 0; round < 24; ++round) {
     // theta
     u64 c[5], d[5];

@@ -43,6 +43,10 @@ inline constexpr int kKeccakRho[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55,
 /// simulator's cost accounting.
 void keccak_f1600(u64 state[25]) noexcept;
 
+/// Keccak-f[1600] permutations this thread has run through keccak_f1600: a
+/// deterministic work count for the host probes.
+u64 keccak_permutations() noexcept;
+
 /// Generic Keccak sponge. Parameterized at runtime by rate and the domain
 /// separation suffix so one engine serves SHA3-256/512 and SHAKE-128/256.
 class KeccakSponge {

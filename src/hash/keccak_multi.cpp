@@ -19,10 +19,10 @@ using detail::kKeccakRoundConstants;
 // --- portable SWAR kernel ---------------------------------------------------
 // L sponge states side by side: s[i][l] is Keccak lane i of hash lane l.
 
-template <int L>
+template <std::size_t L>
 void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
   u64 s[25][L];
-  for (int l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     for (int t = 0; t < 4; ++t) s[t][l] = seeds[l].word(t);
     s[4][l] = 0x06ULL;  // domain/pad byte at offset 32
     for (int i = 5; i < 16; ++i) s[i][l] = 0;
@@ -33,35 +33,35 @@ void sha3_seed_lanes(const Seed256* seeds, Digest256* out) noexcept {
   for (int round = 0; round < 24; ++round) {
     u64 c[5][L], d[5][L];
     for (int x = 0; x < 5; ++x)
-      for (int l = 0; l < L; ++l)
+      for (std::size_t l = 0; l < L; ++l)
         c[x][l] = s[x][l] ^ s[x + 5][l] ^ s[x + 10][l] ^ s[x + 15][l] ^
                   s[x + 20][l];
     for (int x = 0; x < 5; ++x)
-      for (int l = 0; l < L; ++l)
+      for (std::size_t l = 0; l < L; ++l)
         d[x][l] = c[(x + 4) % 5][l] ^ std::rotl(c[(x + 1) % 5][l], 1);
     for (int i = 0; i < 25; ++i)
-      for (int l = 0; l < L; ++l) s[i][l] ^= d[i % 5][l];
+      for (std::size_t l = 0; l < L; ++l) s[i][l] ^= d[i % 5][l];
 
     u64 b[25][L];
     for (int x = 0; x < 5; ++x) {
       for (int y = 0; y < 5; ++y) {
         const int src = x + 5 * y;
         const int dst = y + 5 * ((2 * x + 3 * y) % 5);
-        for (int l = 0; l < L; ++l)
+        for (std::size_t l = 0; l < L; ++l)
           b[dst][l] = std::rotl(s[src][l], kKeccakRho[src]);
       }
     }
 
     for (int y = 0; y < 5; ++y)
       for (int x = 0; x < 5; ++x)
-        for (int l = 0; l < L; ++l)
+        for (std::size_t l = 0; l < L; ++l)
           s[x + 5 * y][l] = b[x + 5 * y][l] ^ (~b[(x + 1) % 5 + 5 * y][l] &
                                                b[(x + 2) % 5 + 5 * y][l]);
 
-    for (int l = 0; l < L; ++l) s[0][l] ^= kKeccakRoundConstants[round];
+    for (std::size_t l = 0; l < L; ++l) s[0][l] ^= kKeccakRoundConstants[round];
   }
 
-  for (int l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     u8* p = out[l].bytes.data();
     for (int t = 0; t < 4; ++t) std::memcpy(p + 8 * t, &s[t][l], 8);
   }
@@ -161,11 +161,11 @@ RBC_TARGET_AVX2 void sha3_seed_x4_avx2(const Seed256* seeds,
   }
 
   alignas(32) u64 lanes[4][4];  // lanes[t][l] = Keccak lane t of hash lane l
-  for (int t = 0; t < 4; ++t)
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[t]), s[t]);
+  for (int i = 0; i < 4; ++i)
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[i]), s[i]);
   for (int l = 0; l < 4; ++l) {
     u8* p = out[l].bytes.data();
-    for (int t = 0; t < 4; ++t) std::memcpy(p + 8 * t, &lanes[t][l], 8);
+    for (int i = 0; i < 4; ++i) std::memcpy(p + 8 * i, &lanes[i][l], 8);
   }
 }
 

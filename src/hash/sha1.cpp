@@ -7,6 +7,8 @@ namespace rbc::hash {
 
 namespace {
 
+thread_local u64 tls_compressions = 0;
+
 constexpr u32 kInit[5] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u,
                           0xc3d2e1f0u};
 
@@ -28,6 +30,7 @@ inline void store_be32(u8* p, u32 v) noexcept {
 // 16-word schedule seed. Used by both the streaming path and the fixed
 // 32-byte seed path.
 inline void sha1_rounds(u32 w[16], u32 h[5]) noexcept {
+  ++tls_compressions;
   u32 a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
 
   auto schedule = [&w](int t) noexcept -> u32 {
@@ -62,6 +65,8 @@ inline void sha1_rounds(u32 w[16], u32 h[5]) noexcept {
 }
 
 }  // namespace
+
+u64 sha1_compressions() noexcept { return tls_compressions; }
 
 void Sha1::reset() noexcept {
   std::memcpy(h_, kInit, sizeof(h_));

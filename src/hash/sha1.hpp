@@ -43,6 +43,10 @@ class Sha1 {
 /// Single fixed-shape compression; no buffering, no length bookkeeping.
 Digest160 sha1_seed(const Seed256& seed) noexcept;
 
+/// SHA-1 compression-function calls this thread's scalar kernels (Sha1 and
+/// sha1_seed) have made: a deterministic work count for the host probes.
+u64 sha1_compressions() noexcept;
+
 /// Reference path for the fixed-input ablation: routes the seed through the
 /// generic streaming implementation.
 inline Digest160 sha1_seed_generic(const Seed256& seed) noexcept {

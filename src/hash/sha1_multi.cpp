@@ -40,10 +40,10 @@ inline void store_be32(u8* p, u32 v) noexcept {
 // L independent lanes carried through the compression as small per-lane
 // arrays; every step is an L-wide loop the compiler can unroll or vectorize.
 
-template <int L>
+template <std::size_t L>
 void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
   u32 w[16][L];
-  for (int l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     for (int t = 0; t < 8; ++t) w[t][l] = seed_be32(seeds[l], t);
     w[8][l] = 0x80000000u;
     for (int t = 9; t < 15; ++t) w[t][l] = 0;
@@ -51,7 +51,7 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
   }
 
   u32 a[L], b[L], c[L], d[L], e[L];
-  for (int l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     a[l] = kInit[0];
     b[l] = kInit[1];
     c[l] = kInit[2];
@@ -63,9 +63,9 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
     for (int t = t0; t < t1; ++t) {
       u32 wt[L];
       if (t < 16) {
-        for (int l = 0; l < L; ++l) wt[l] = w[t][l];
+        for (std::size_t l = 0; l < L; ++l) wt[l] = w[t][l];
       } else {
-        for (int l = 0; l < L; ++l) {
+        for (std::size_t l = 0; l < L; ++l) {
           const u32 v = std::rotl(w[(t - 3) & 15][l] ^ w[(t - 8) & 15][l] ^
                                       w[(t - 14) & 15][l] ^ w[t & 15][l],
                                   1);
@@ -73,7 +73,7 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
           wt[l] = v;
         }
       }
-      for (int l = 0; l < L; ++l) {
+      for (std::size_t l = 0; l < L; ++l) {
         const u32 tmp =
             std::rotl(a[l], 5) + f(b[l], c[l], d[l]) + e[l] + k + wt[l];
         e[l] = d[l];
@@ -95,7 +95,7 @@ void sha1_seed_lanes(const Seed256* seeds, Digest160* out) noexcept {
   rounds(40, 60, kK[2], maj);
   rounds(60, 80, kK[3], parity);
 
-  for (int l = 0; l < L; ++l) {
+  for (std::size_t l = 0; l < L; ++l) {
     u8* p = out[l].bytes.data();
     store_be32(p, kInit[0] + a[l]);
     store_be32(p + 4, kInit[1] + b[l]);

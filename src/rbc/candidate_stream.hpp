@@ -21,8 +21,10 @@
 //     including a match gives the single-unit `seeds_hashed` exactly.
 //
 // Implementations:
-//   * BallStream<Factory> walks a borrowed iterator factory lazily — the
-//     per-shell prepare() cost lands on the session.
+//   * BallStream<Factory> walks a borrowed iterator factory lazily. Its
+//     per-shell prepare() is cheap for every family: Gosper and Algorithm
+//     515 unrank, and Chase reads a plan comb::ChasePlanRegistry walks once
+//     per process.
 //   * OrderedBallStream emits each shell maximum-likelihood-first from a
 //     device's reliability profile (same union per shell, new order).
 //   * TableCandidateStream steps through process-wide cached XOR-mask

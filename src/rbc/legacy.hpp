@@ -63,12 +63,12 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
     workers.parallel_workers(p, [&](int worker) {
       auto it = factory.make(worker);
       par::CheckThrottle throttle(opts.check_interval);
-      u64 local = 0;
+      u64 keys = 0;
       Seed256 mask;
       while (it.next(mask)) {
         if (throttle.due() && ctx.should_stop(opts.early_exit)) break;
         const Seed256 candidate = s_init ^ mask;
-        ++local;
+        ++keys;
         if (keygen(candidate) == target_pk) {
           {
             std::lock_guard lock(found_mutex);
@@ -79,10 +79,10 @@ SearchResult legacy_rbc_search(const Seed256& s_init, const Bytes& target_pk,
         }
         // Keygen is orders of magnitude slower than hashing, so the
         // deadline is polled much more often relative to work done.
-        if ((local & 0xff) == 0) ctx.check_deadline();
+        if ((keys & 0xff) == 0) ctx.check_deadline();
       }
-      generated[static_cast<std::size_t>(worker)] += local;
-      ctx.add_progress(local);
+      generated[static_cast<std::size_t>(worker)] += keys;
+      ctx.add_progress(keys);
     });
 
     ctx.check_deadline();

@@ -46,12 +46,11 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "bits/seed256.hpp"
 #include "combinatorics/shell.hpp"
@@ -275,74 +274,36 @@ u64 rbc_search_tiled(const Seed256& s_init,
   const int units = opts.num_threads + 1;
   par::TileScheduler sched(tiler.tiles_per_shell(), /*first_shell=*/1, units);
 
-  // Per-shell iterator plans, built lazily: the unit that first needs (or
-  // pre-publishes) shell k CASes kNone -> kPreparing and builds the plan
-  // itself; anyone else needing it meanwhile waits on the cv at a short
-  // timeout so stop conditions stay honored. A nullptr plan (walk aborted by
-  // the deadline) parks the shell as kAborted and ends the claimants.
-  enum : int { kNone = 0, kPreparing = 1, kReady = 2, kAborted = 3 };
-  std::vector<std::shared_ptr<const typename Factory::shell_plan>> plans(
-      static_cast<std::size_t>(d) + 1);
-  std::unique_ptr<std::atomic<int>[]> plan_state(
-      new std::atomic<int>[static_cast<std::size_t>(d) + 1]);
-  for (int k = 0; k <= d; ++k)
-    plan_state[static_cast<std::size_t>(k)].store(kNone,
-                                                  std::memory_order_relaxed);
-  std::mutex plan_mutex;
-  std::condition_variable plan_cv;
-
-  const auto abort_pred = [&ctx, &opts] {
-    return ctx.should_stop(opts.early_exit);
-  };
-
-  const auto ensure_plan =
-      [&](int k) -> std::shared_ptr<const typename Factory::shell_plan> {
-    auto& state = plan_state[static_cast<std::size_t>(k)];
-    int s = state.load(std::memory_order_acquire);
-    while (s != kReady) {
-      if (s == kAborted) return nullptr;
-      if (s == kNone) {
-        int expected = kNone;
-        if (state.compare_exchange_strong(expected, kPreparing,
-                                          std::memory_order_acq_rel)) {
-          auto plan = factory.plan(k, tiler.stride(k), abort_pred);
-          plans[static_cast<std::size_t>(k)] = plan;
-          state.store(plan != nullptr ? kReady : kAborted,
-                      std::memory_order_release);
-          plan_cv.notify_all();
-          return plan;
-        }
-        s = expected;
-        continue;
-      }
-      // Another unit is mid-walk; timed wait so deadline/cancel/match still
-      // end this unit promptly (a missed notify costs one timeout tick).
-      {
-        std::unique_lock lock(plan_mutex);
-        plan_cv.wait_for(lock, std::chrono::milliseconds(2));
-      }
-      if (ctx.check_deadline() || ctx.should_stop(opts.early_exit))
-        return nullptr;
-      s = state.load(std::memory_order_acquire);
-    }
-    return plans[static_cast<std::size_t>(k)];
+  // Shell plans come from the factory; Chase's are walked once per process
+  // in comb::ChasePlanRegistry, which also makes concurrent askers of a
+  // missing plan wait for its one walk. The predicate stops this search's
+  // walk or wait: a nullptr plan ends the unit.
+  const std::function<bool()> abort_pred = [&ctx, &opts] {
+    return ctx.check_deadline() || ctx.should_stop(opts.early_exit);
   };
 
   std::atomic<u64> hashed{0};
   workers.parallel_workers(units, [&](int unit) {
+    // This unit's handles on the plans, fetched once per shell.
+    std::vector<std::shared_ptr<const typename Factory::shell_plan>> plans(
+        static_cast<std::size_t>(d) + 1);
+    const auto plan_for = [&](int k) {
+      auto& plan = plans[static_cast<std::size_t>(k)];
+      if (plan == nullptr) plan = factory.plan(k, tiler.stride(k), abort_pred);
+      return plan.get();
+    };
     if (unit == units - 1) {
-      // Pipeline unit: publish plans front to back, then fall through and
-      // hash like everyone else. Workers self-prepare if they outrun it.
-      for (int k = 1; k <= d; ++k) {
-        if (ctx.check_deadline() || ctx.should_stop(opts.early_exit)) break;
-        if (ensure_plan(k) == nullptr) break;
-      }
+      // Pipeline unit: fetch plans front to back (on a cold registry, this
+      // walks shell k+1 while the others drain shell k), then hash like
+      // everyone else.
+      for (int k = 1; k <= d; ++k)
+        if (plan_for(k) == nullptr) break;
     }
     const u64 h = drain_tiles(
         sched, unit,
         [&](const par::TileScheduler::Tile& tile)
             -> std::optional<typename Factory::iterator> {
-          const auto plan = ensure_plan(tile.shell);
+          const auto* plan = plan_for(tile.shell);
           if (plan == nullptr) return std::nullopt;
           return plan->make_tile(tile.index);
         },

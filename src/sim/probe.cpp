@@ -20,9 +20,11 @@ namespace {
 // A data dependency threaded through the loop keeps the optimizer from
 // hoisting or eliding the hash calls.
 template <typename HashFn>
-ProbeResult run_hash_probe(std::string what, u64 iterations, HashFn&& fn) {
+ProbeResult run_hash_probe(std::string what, u64 iterations,
+                           u64 (*work_count)() noexcept, HashFn&& fn) {
   Xoshiro256 rng(0xbe7c);
   Seed256 seed = Seed256::random(rng);
+  const u64 work_before = work_count();
   WallTimer timer;
   u8 sink = 0;
   for (u64 i = 0; i < iterations; ++i) {
@@ -30,7 +32,8 @@ ProbeResult run_hash_probe(std::string what, u64 iterations, HashFn&& fn) {
     sink ^= digest.bytes[0];
     seed.word(0) += 0x9e3779b97f4a7c15ULL + sink;
   }
-  ProbeResult r{std::move(what), iterations, timer.elapsed_s()};
+  ProbeResult r{std::move(what), iterations, timer.elapsed_s(),
+                work_count() - work_before};
   // Publish the sink so the compiler cannot prove the loop dead.
   if (sink == 0xA5) r.what += " ";
   return r;
@@ -41,22 +44,23 @@ ProbeResult run_hash_probe(std::string what, u64 iterations, HashFn&& fn) {
 ProbeResult probe_hash(hash::HashAlgo algo, u64 iterations) {
   if (algo == hash::HashAlgo::kSha1) {
     return run_hash_probe("SHA-1 seed hash", iterations,
+                          hash::sha1_compressions,
                           [](const Seed256& s) { return hash::sha1_seed(s); });
   }
-  return run_hash_probe("SHA-3 seed hash", iterations, [](const Seed256& s) {
-    return hash::sha3_256_seed(s);
-  });
+  return run_hash_probe(
+      "SHA-3 seed hash", iterations, hash::keccak_permutations,
+      [](const Seed256& s) { return hash::sha3_256_seed(s); });
 }
 
 ProbeResult probe_hash_generic(hash::HashAlgo algo, u64 iterations) {
   if (algo == hash::HashAlgo::kSha1) {
     return run_hash_probe("SHA-1 seed hash (generic)", iterations,
-                          [](const Seed256& s) {
+                          hash::sha1_compressions, [](const Seed256& s) {
                             return hash::sha1_seed_generic(s);
                           });
   }
   return run_hash_probe("SHA-3 seed hash (generic)", iterations,
-                        [](const Seed256& s) {
+                        hash::keccak_permutations, [](const Seed256& s) {
                           return hash::sha3_256_seed_generic(s);
                         });
 }

@@ -23,6 +23,10 @@ struct ProbeResult {
   std::string what;
   u64 operations = 0;
   double seconds = 0.0;
+  /// Compression-function calls the probed kernel made (SHA-1 compressions
+  /// or Keccak-f[1600] permutations), counted rather than timed; set by the
+  /// scalar hash probes only.
+  u64 work = 0;
 
   double ns_per_op() const noexcept {
     return operations == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(operations);

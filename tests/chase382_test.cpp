@@ -89,22 +89,27 @@ TEST(ChaseSequence, StateRoundTripResumesExactly) {
 TEST(ChaseSnapshots, TileTheSequence) {
   const int n = 12, k = 4;  // C(12,4) = 495
   const u64 total = binomial64(n, k);
-  for (int num_states : {1, 3, 8, 33, 495, 700}) {
-    const auto snaps = make_chase_snapshots(k, num_states, n);
-    ASSERT_FALSE(snaps.empty());
-    EXPECT_LE(snaps.size(), static_cast<std::size_t>(num_states));
-    EXPECT_EQ(snaps.front().step_index, 0u);
+  for (u64 num_states : {1u, 3u, 8u, 33u, 495u, 700u}) {
+    // prepare(k, p)'s partition: a snapshot every ceil(total / p) steps.
+    const auto plan =
+        ChaseFactory(n).plan(k, (total + num_states - 1) / num_states);
+    ASSERT_GE(plan->tiles(), 1u);
+    EXPECT_LE(plan->tiles(), num_states);
+    EXPECT_EQ(plan->snapshot(0).step_index, 0u);
     // Strictly increasing step indices covering [0, total).
-    for (std::size_t i = 1; i < snaps.size(); ++i)
-      EXPECT_GT(snaps[i].step_index, snaps[i - 1].step_index);
-    EXPECT_LT(snaps.back().step_index, total);
+    for (u64 t = 1; t < plan->tiles(); ++t)
+      EXPECT_GT(plan->snapshot(t).step_index,
+                plan->snapshot(t - 1).step_index);
+    EXPECT_LT(plan->snapshot(plan->tiles() - 1).step_index, total);
   }
 }
 
 TEST(ChaseSnapshots, SnapshotMasksMatchSequentialWalk) {
   const int n = 10, k = 3;
   const auto reference = walk_full_sequence(k, n);
-  const auto snaps = make_chase_snapshots(k, 7, n);
+  std::vector<ChaseState> snaps;  // C(10,3) = 120 in 7 slices of 18
+  ASSERT_TRUE(make_chase_snapshots_strided(k, 18, snaps, n));
+  EXPECT_EQ(snaps.size(), 7u);
   for (const auto& s : snaps) {
     ASSERT_LT(s.step_index, reference.size());
     EXPECT_EQ(s.mask, reference[static_cast<std::size_t>(s.step_index)]);

@@ -26,21 +26,19 @@ TEST(ProbeHash, Sha3CostsMoreThanSha1) {
 }
 
 TEST(ProbeHashGeneric, AtLeastAsExpensiveAsFixedPath) {
-  // Best-of-5 to ride out scheduler noise; the generic streaming path does
-  // strictly more work than the fixed-input path. The margin is loose: the
-  // memset-style padding and bulk sponge absorb brought the streaming path
-  // within noise of the fixed path for one-block inputs, so under a
-  // parallel ctest run the two measurements can cross — the bound only
-  // rejects a generic path *implausibly* faster than the fixed one (a
-  // probe wired to the wrong kernel), not ordinary timing jitter.
+  // The generic streaming path does at least the fixed-input path's work.
+  // Work is compression-function calls, counted rather than timed, so a
+  // loaded host cannot flip the comparison. Each fixed-path hash must cost
+  // at least one call: a probe wired to a kernel the counters do not see
+  // (e.g. the batched multi-lane path) reads 0 and fails here.
   for (auto algo : {hash::HashAlgo::kSha1, hash::HashAlgo::kSha3_256}) {
-    double generic = 1e300, fixed = 1e300;
-    for (int rep = 0; rep < 5; ++rep) {
-      generic = std::min(generic, probe_hash_generic(algo, 20000).ns_per_op());
-      fixed = std::min(fixed, probe_hash(algo, 20000).ns_per_op());
-    }
-    EXPECT_GT(generic, fixed * 0.5)
-        << "generic path implausibly fast for " << static_cast<int>(algo);
+    const auto generic = probe_hash_generic(algo, 2000);
+    const auto fixed = probe_hash(algo, 2000);
+    EXPECT_GE(fixed.work, fixed.operations)
+        << "fixed path hashed without compressing for "
+        << static_cast<int>(algo);
+    EXPECT_GE(generic.work, fixed.work)
+        << "generic path did less work for " << static_cast<int>(algo);
   }
 }
 
