@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/pqc_keygen.hpp"
 #include "crypto/salt.hpp"
+#include "hash/keccak.hpp"
 
 namespace rbc::crypto {
 namespace {
@@ -69,6 +73,52 @@ TEST(KeygenDispatch, MatchesPolicyObjects) {
   EXPECT_EQ(generate_public_key(seed, KeygenAlgo::kKyberLike),
             KyberLikeKeygen{}(seed));
   EXPECT_EQ(generate_public_key(seed, KeygenAlgo::kWots), WotsKeygen{}(seed));
+}
+
+// Known-answer tests: any rework of the ring, the sampler or the sponge must
+// leave every public key byte-identical. The digest is SHA3-256 over the
+// concatenated public keys of 64 seeds drawn from Xoshiro256(7); the pinned
+// prefix is the leading bytes of the first seed's key (past the 32-byte
+// seed_A of the lattice schemes, so it covers polynomial output too).
+struct KeygenKat {
+  KeygenAlgo algo;
+  const char* digest_prefix;     // first 8 digest bytes
+  const char* first_key_prefix;  // first 48 key bytes (all of a 32-byte key)
+};
+
+constexpr KeygenKat kKats[] = {
+    {KeygenAlgo::kAes128, "10377e8565f2fc21",
+     "2c798b1e66f0c043f868b0e7b8ba6f4355c36f947f773f519fcb90cd13969fb4"},
+    {KeygenAlgo::kSaberLike, "3758e76599cd446e",
+     "cc34fdf67c8d263f3a9a8b57ace6cd80cbc09f9d926a829d4e140897b6bf4f47"
+     "16012a00c7029a03ff00fd0210028e03"},
+    {KeygenAlgo::kDilithiumLike, "49d6456ed949b457",
+     "61f407ffbab6fb1cafa320887cc5fa1981fed47c811630d80fcb05a02c6acc00"
+     "cdd650539f1240bb0d4c3b7bc0731d78"},
+    {KeygenAlgo::kKyberLike, "bcd72f6557c097aa",
+     "043711235b53832454793c2854bc2481db9e100aebe4b9a64a44b02e9bacc9b8"
+     "2c05040436074607ae04e6046f048705"},
+    {KeygenAlgo::kWots, "6f49478b0370a7a3",
+     "d0153d412dfc29ed1138a7ccd873ff5c3cab7c853ee3b890141654c872f0f5a2"},
+};
+
+TEST(KeygenKat, SixtyFourSeedDigestsAndFirstKeys) {
+  for (const auto& kat : kKats) {
+    Xoshiro256 rng(7);
+    Bytes all;
+    Bytes first;
+    for (int i = 0; i < 64; ++i) {
+      const Bytes pk = generate_public_key(Seed256::random(rng), kat.algo);
+      if (i == 0) first = pk;
+      all.insert(all.end(), pk.begin(), pk.end());
+    }
+    const auto digest = hash::sha3_256(all);
+    EXPECT_EQ(to_hex(ByteSpan{digest.bytes.data(), 8}), kat.digest_prefix)
+        << to_string(kat.algo);
+    const std::size_t pinned = std::min<std::size_t>(first.size(), 48);
+    EXPECT_EQ(to_hex(ByteSpan{first.data(), pinned}), kat.first_key_prefix)
+        << to_string(kat.algo);
+  }
 }
 
 TEST(KeygenAlgoNames, AreStable) {
