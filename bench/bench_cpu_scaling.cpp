@@ -10,6 +10,7 @@
 // walks on their own: the searches read plans from the process-wide
 // comb::ChasePlanRegistry, so their best-of-3 times exclude that walk, as
 // the paper's do (§3.2.1).
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -102,10 +103,16 @@ int main() {
   const hash::Sha3SeedHash hash;
   const auto target = hash(unrelated);  // full-ball workload
 
-  Table host({"threads", "host time (s)", "speedup", "efficiency"});
+  // `threads` counts the OS threads that search. p = 1 is the single-unit
+  // stream scan on the calling thread. For p > 1 the tiled driver runs p + 1
+  // units (p tile units plus the plan-pipeline unit, which also hashes);
+  // a group of p - 1 workers plus the caller-helps thread runs them on
+  // exactly p OS threads.
+  Table host({"threads", "tiled units", "host time (s)", "speedup",
+              "efficiency"});
   double t1 = 0.0;
   for (int p = 1; p <= max_threads; p *= 2) {
-    par::WorkerGroup pool(p);  // dedicated group: p is the variable under study
+    par::WorkerGroup pool(std::max(1, p - 1));  // idle at p = 1
     comb::ChaseFactory factory;
     SearchOptions opts;
     opts.max_distance = 2;
@@ -117,8 +124,8 @@ int main() {
       best = std::min(best, r.host_seconds);
     }
     if (p == 1) t1 = best;
-    host.add_row({std::to_string(p), fmt(best, 4), fmt(t1 / best, 2),
-                  fmt(t1 / best / p, 2)});
+    host.add_row({std::to_string(p), p == 1 ? "1" : std::to_string(p + 1),
+                  fmt(best, 4), fmt(t1 / best, 2), fmt(t1 / best / p, 2)});
   }
   host.print();
   if (max_threads == 1) {

@@ -156,12 +156,16 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
 echo "=== [14/14] configure + build + ctest (ASan+UBSan: input and serving suites) ==="
 # AddressSanitizer + UndefinedBehaviorSanitizer over the code that parses
 # hostile bytes (enrollment store, fuzz corpus, wire goldens, messages) and
-# the serving layer that owns session lifetimes (stress, chaos, obs). UBSan
-# recovers by default; halt_on_error makes any report fail the gate.
+# the serving layer that owns session lifetimes (stress, chaos, obs), plus the
+# ring, keygen and Keccak/SHAKE suites, whose arithmetic relies on unsigned
+# wrap (16-bit schoolbook lanes, Shoup and Barrett reductions); `^Keygen`
+# leaves out ProbeKeygen, a wall-clock ordering that sanitizer overhead
+# distorts. UBSan recovers by default; halt_on_error makes any report fail
+# the gate.
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$JOBS"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ctest --test-dir build-asan \
   --output-on-failure -j "$JOBS" \
-  -R 'EnrollmentDatabase|Fuzz|WireGolden|Message|ServerStress|ShardStress|Chaos|Obs'
+  -R 'EnrollmentDatabase|Fuzz|WireGolden|Message|ServerStress|ShardStress|Chaos|Obs|PolyRing|^Keygen|Keccak|Shake'
 
 echo "CI: all gates green"

@@ -89,10 +89,13 @@ Bytes DilithiumLikeKeygen::operator()(const Seed256& seed) const {
   const auto seed_a = derive_subseed(seed, 0x10);
   const auto seed_s = derive_subseed(seed, 0x11);
 
-  std::array<Poly, kL> s1;
+  // s1 is transformed once; each row of A*s1 accumulates in the NTT domain
+  // and pays one inverse transform (41 transforms for the 6x5 matrix).
+  std::array<Poly, kL> s1_hat;
   for (int j = 0; j < kL; ++j) {
     auto xof = make_small_xof(seed_s, static_cast<u8>(j));
-    s1[static_cast<unsigned>(j)] = ring_.sample_small(xof, kEta);
+    s1_hat[static_cast<unsigned>(j)] = ring_.sample_small(xof, kEta);
+    ring_.ntt(s1_hat[static_cast<unsigned>(j)]);
   }
 
   Bytes pk(seed_a.begin(), seed_a.end());
@@ -100,9 +103,11 @@ Bytes DilithiumLikeKeygen::operator()(const Seed256& seed) const {
     Poly acc{};
     for (int j = 0; j < kL; ++j) {
       auto xof = make_uniform_xof(seed_a, static_cast<u8>(i), static_cast<u8>(j));
-      const Poly a_ij = ring_.sample_uniform(xof);
-      acc = ring_.add(acc, ring_.mul(a_ij, s1[static_cast<unsigned>(j)]));
+      Poly a_ij = ring_.sample_uniform(xof);
+      ring_.ntt(a_ij);
+      ring_.pointwise_mul_acc(acc, a_ij, s1_hat[static_cast<unsigned>(j)]);
     }
+    ring_.intt(acc);
     auto xof = make_small_xof(seed_s, static_cast<u8>(kL + i));
     const Poly s2_i = ring_.sample_small(xof, kEta);
     pack_poly(ring_.add(acc, s2_i), 3, pk);
@@ -158,12 +163,18 @@ Bytes generate_public_key(const Seed256& seed, KeygenAlgo algo) {
   switch (algo) {
     case KeygenAlgo::kAes128:
       return Aes128Keygen{}(seed);
-    case KeygenAlgo::kSaberLike:
-      return SaberLikeKeygen{}(seed);
-    case KeygenAlgo::kDilithiumLike:
-      return DilithiumLikeKeygen{}(seed);
-    case KeygenAlgo::kKyberLike:
-      return KyberLikeKeygen{}(seed);
+    case KeygenAlgo::kSaberLike: {
+      static const SaberLikeKeygen keygen;
+      return keygen(seed);
+    }
+    case KeygenAlgo::kDilithiumLike: {
+      static const DilithiumLikeKeygen keygen;
+      return keygen(seed);
+    }
+    case KeygenAlgo::kKyberLike: {
+      static const KyberLikeKeygen keygen;
+      return keygen(seed);
+    }
     case KeygenAlgo::kWots:
       return WotsKeygen{}(seed);
   }

@@ -12,10 +12,12 @@
 //   * Aes128Keygen     — prior work [39]: AES-128 of fixed blocks under a
 //                        seed-derived key.
 //   * SaberLikeKeygen  — LightSABER-shaped module-LWR keygen [29]: 2x2 ring
-//                        matrix over Z_8192[X]/(X^256+1), schoolbook mults,
-//                        13->10 bit rounding.
+//                        matrix over Z_8192[X]/(X^256+1), schoolbook mults
+//                        in wrapping 16-bit lanes, 13->10 bit rounding.
 //   * DilithiumLikeKeygen — Dilithium3-shaped module-LWE keygen [40]: 6x5
-//                        ring matrix over Z_8380417[X]/(X^256+1) via NTT.
+//                        ring matrix over Z_8380417[X]/(X^256+1); s1 is
+//                        transformed once and each row of A*s1 accumulates
+//                        in the NTT domain (41 transforms per key).
 //
 // The lattice generators reproduce the real schemes' dimensions and sampling
 // structure but are simplified (no packing-exact encodings, no security
@@ -82,9 +84,9 @@ class DilithiumLikeKeygen {
 };
 
 /// Kyber768-shaped module-LWE KEM key generation (t = A*s + e). Kyber's
-/// q = 3329 has no full negacyclic NTT for n = 256 (the real scheme uses a
-/// split NTT), so the generic ring falls back to schoolbook multiplication —
-/// which is also roughly where a register-bound GPU kernel lands.
+/// q = 3329 has no full negacyclic NTT for n = 256 (512 does not divide
+/// q - 1; the real scheme uses a split NTT), so the ring multiplies by
+/// schoolbook with a 64-bit sum per output coefficient, reduced once.
 /// RBC-SALTED can terminate in any of these (§3: "any cryptographic
 /// algorithm that generates public keys can be employed").
 class KyberLikeKeygen {
@@ -152,8 +154,9 @@ constexpr std::string_view to_string(KeygenAlgo a) {
   return "?";
 }
 
-/// One-shot dispatch; constructs the generator internally (protocol-path
-/// convenience — hot loops should hold a policy object instead).
+/// One-shot dispatch (protocol-path convenience). The lattice generators,
+/// and with them their rings' NTT tables, are built once per process and
+/// shared: a generator is immutable after construction.
 Bytes generate_public_key(const Seed256& seed, KeygenAlgo algo);
 
 }  // namespace rbc::crypto

@@ -81,7 +81,9 @@ Digest512 sha3_512(ByteSpan data) noexcept;
 /// SHAKE XOFs used by the toy PQC key generators to expand seeds.
 class Shake128 {
  public:
-  Shake128() noexcept : sponge_(168, 0x1f) {}
+  static constexpr std::size_t kRate = 168;
+
+  Shake128() noexcept : sponge_(kRate, 0x1f) {}
   void absorb(ByteSpan data) noexcept { sponge_.absorb(data); }
   void squeeze(MutByteSpan out) noexcept { sponge_.squeeze(out); }
 
@@ -91,7 +93,9 @@ class Shake128 {
 
 class Shake256 {
  public:
-  Shake256() noexcept : sponge_(136, 0x1f) {}
+  static constexpr std::size_t kRate = 136;
+
+  Shake256() noexcept : sponge_(kRate, 0x1f) {}
   void absorb(ByteSpan data) noexcept { sponge_.absorb(data); }
   void squeeze(MutByteSpan out) noexcept { sponge_.squeeze(out); }
 
