@@ -25,7 +25,7 @@ ProbeResult run_hash_probe(std::string what, u64 iterations,
   Xoshiro256 rng(0xbe7c);
   Seed256 seed = Seed256::random(rng);
   const u64 work_before = work_count();
-  WallTimer timer;
+  ThreadCpuTimer timer;
   u8 sink = 0;
   for (u64 i = 0; i < iterations; ++i) {
     const auto digest = fn(seed);
@@ -75,7 +75,7 @@ ProbeResult run_batched_probe(std::string what, u64 iterations) {
   typename Hash::digest_type digests[kBlock];
   for (std::size_t i = 0; i < kBlock; ++i) block[i] = Seed256::random(rng);
   Hash hasher;
-  WallTimer timer;
+  ThreadCpuTimer timer;
   u8 sink = 0;
   u64 done = 0;
   while (done < iterations) {
@@ -125,7 +125,7 @@ ProbeResult probe_iterate_and_hash(IterAlgo iter, hash::HashAlgo hash, int k,
     }
   };
 
-  WallTimer timer;
+  ThreadCpuTimer timer;
   Seed256 scratch;
   switch (iter) {
     case IterAlgo::kChase382: {
@@ -188,7 +188,7 @@ ProbeResult probe_iterate_and_hash_batched(IterAlgo iter, hash::HashAlgo hash,
     }
   };
 
-  WallTimer timer;
+  ThreadCpuTimer timer;
   switch (iter) {
     case IterAlgo::kChase382: {
       comb::ChaseSequence seq(k);
@@ -217,7 +217,7 @@ ProbeResult probe_iterate_and_hash_batched(IterAlgo iter, hash::HashAlgo hash,
 ProbeResult probe_keygen(crypto::KeygenAlgo algo, u64 iterations) {
   Xoshiro256 rng(0x5eed);
   Seed256 seed = Seed256::random(rng);
-  WallTimer timer;
+  ThreadCpuTimer timer;
   u8 sink = 0;
 
   auto loop = [&](const auto& keygen) {

@@ -1,6 +1,8 @@
 // Host throughput probe: measures the REAL per-candidate cost of this
 // build's hash/iterator/keygen implementations on the machine running the
-// benches.
+// benches. Every probe is a single-threaded loop timed on the calling
+// thread's CPU clock (ThreadCpuTimer), so time spent preempted on a loaded
+// host is not charged to the operation.
 //
 // Every bench prints three columns: the paper's published number, the
 // calibrated device-model number, and a host-measured number produced with
